@@ -46,11 +46,7 @@ echo "== bench regression gate vs committed baseline =="
 # committed baselines are full-mode runs from a different host, so the
 # threshold is deliberately loose (the noise-aware margin widens it
 # further) — it catches order-of-magnitude scheduler breakage, not
-# single-digit host drift.  Heap engine smoke rides along, proving the
-# equivalence-oracle path stays runnable.
-python -m repro.cli bench --quick --trials 1 \
-    --scenario core-microbench --engine heap \
-    --skip-overhead --out-dir "$BENCH_TMP" >/dev/null
+# single-digit host drift.
 python -m repro.cli bench --quick --trials 1 \
     --scenario core-microbench --scenario vector-stat \
     --skip-overhead --out-dir "$BENCH_TMP" \

@@ -61,13 +61,7 @@ def campaign_trial(spec: Tuple[str, str, int, Dict]):
     if kind == "bench":
         from repro.observatory.runner import bench_trial
 
-        spec_tuple = (params["scenario"], params["quick"], seed)
-        if params.get("engine"):
-            # Engine rides in the worker spec; it never changes the
-            # simulated result (the equivalence contract), so trials
-            # with and without the axis stay digest-compatible.
-            spec_tuple += (params["engine"],)
-        record = bench_trial(spec_tuple)
+        record = bench_trial((params["scenario"], params["quick"], seed))
         return {"seed": record["seed"], "cycles": record["cycles"],
                 "metrics": record["metrics"]}
     if kind == "chaos":

@@ -20,7 +20,6 @@ into ad-hoc CLI loops.  Top level::
       - kind: bench              # pinned observatory scenarios
         scenarios: [exerciser-1cpu]
         quick: true
-        engine: [wheel, heap]    # optional event-engine axis
       - kind: vector             # vectorized §5.2 statistical runs
         processors: [2, 4, 6]
         instructions: 100000
@@ -66,7 +65,7 @@ _COMMON_KEYS = {"kind", "seeds", "exclude"}
 _GROUP_KEYS = {
     "sweep": _COMMON_KEYS | {"processors", "protocol", "generation",
                              "warmup", "measure"},
-    "bench": _COMMON_KEYS | {"scenarios", "quick", "engine"},
+    "bench": _COMMON_KEYS | {"scenarios", "quick"},
     "chaos": _COMMON_KEYS | {"scenarios", "quick"},
     "serve": _COMMON_KEYS | {"scenarios", "quick"},
     "vector": _COMMON_KEYS | {"processors", "instructions", "backend"},
@@ -315,25 +314,9 @@ def _validate_scenarios(group: Dict, where: str, names: List[str]) -> Dict:
 
 
 def _validate_bench(group: Dict, where: str) -> Dict:
-    from repro.common.events import ENGINES
     from repro.observatory.bench import scenario_names
 
-    validated = _validate_scenarios(group, where, scenario_names())
-    if "engine" in group:
-        # An explicit engine axis: cross-product like any other axis.
-        # Omitted entirely (the compatible default) the trials keep the
-        # worker's default engine and their pre-engine-era labels, so
-        # existing golden pins and ledger keys stay resolvable.
-        engines = [str(e) for e in _as_list(group["engine"])]
-        bad = sorted(set(engines) - set(ENGINES))
-        if bad:
-            raise ConfigurationError(
-                f"{where}: unknown engine(s) {', '.join(bad)}; "
-                f"known: {', '.join(ENGINES)}")
-        if len(set(engines)) != len(engines):
-            raise ConfigurationError(f"{where}: duplicate engines")
-        validated["engine"] = engines
-    return validated
+    return _validate_scenarios(group, where, scenario_names())
 
 
 def _validate_vector(group: Dict, where: str) -> Dict:
@@ -419,7 +402,7 @@ def _validate_exclude(value, validated: Dict, where: str) -> List[Dict]:
 def _axis_names(group: Dict) -> List[str]:
     """The parameter names that expand for this group, seeds excluded."""
     return {"sweep": ["processors", "protocol"],
-            "bench": ["scenarios", "engine"], "chaos": ["scenarios"],
+            "bench": ["scenarios"], "chaos": ["scenarios"],
             "serve": ["scenarios"], "vector": ["processors"],
             "probe": []}[group["kind"]]
 
@@ -455,25 +438,14 @@ def _expand_group(group: Dict, default_seeds: Sequence[int]
                     out.append((label, seed, params))
     elif kind in ("bench", "chaos", "serve"):
         mode = "quick" if group["quick"] else "full"
-        # The engine axis is bench-only and optional; when omitted the
-        # labels keep their pre-engine shape so existing golden pins
-        # and ledger keys survive the axis's introduction.
-        engines = group.get("engine") or [None]
         for scenario in group["scenarios"]:
-            for engine in engines:
-                for seed in seeds:
-                    match = {"scenarios": scenario, "seed": seed}
-                    if engine is not None:
-                        match["engine"] = engine
-                    if _excluded(match, excludes):
-                        continue
-                    params = {"scenario": scenario,
-                              "quick": group["quick"]}
-                    label = f"{kind}/{scenario}/{mode}"
-                    if engine is not None:
-                        params["engine"] = engine
-                        label += f"/{engine}"
-                    out.append((f"{label}/s{seed}", seed, params))
+            for seed in seeds:
+                if _excluded({"scenarios": scenario, "seed": seed},
+                             excludes):
+                    continue
+                params = {"scenario": scenario, "quick": group["quick"]}
+                out.append((f"{kind}/{scenario}/{mode}/s{seed}", seed,
+                            params))
     elif kind == "vector":
         for processors in group["processors"]:
             for seed in seeds:

@@ -281,10 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="worker processes for (scenario x trial) "
                             "fan-out; simulated results are identical "
                             "at any job count (default 1)")
-    bench.add_argument("--engine", choices=("wheel", "heap"), default=None,
-                       help="event engine for every trial (default: the "
-                            "wheel); simulated metrics are identical "
-                            "either way — only ticks/s moves")
 
     chaos = sub.add_parser(
         "chaos", help="run the seeded fault-injection campaigns")
@@ -763,7 +759,6 @@ def _cmd_bench(args) -> int:
                          scenarios=args.scenario,
                          skip_overhead=args.skip_overhead,
                          jobs=args.jobs,
-                         engine=args.engine,
                          progress=print)
     path = write_bench(document, out_dir)
     print()

@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analytic.queueing import AnalyticParameters, FireflyAnalyticModel
 from repro.common.errors import ConfigurationError
-from repro.common.events import Simulator, default_engine, set_default_engine
+from repro.common.events import Simulator
 from repro.common.provenance import provenance_stamp
 from repro.common.rng import RandomStream
 from repro.system import FireflyConfig, FireflyMachine
@@ -242,11 +242,11 @@ def _core_microbench_runner(scenario: Scenario, horizon: Horizon,
     kernel traffic shaped like the models generate it: a dense
     population of small fixed-delay tickers (the dominant event class),
     priority-arbitrated resource contention (the MBus pattern), and a
-    handful of far-future sleepers that force the wheel's overflow
-    path.  Its ticks/s therefore isolates the engine itself, which is
-    exactly what the wheel-vs-heap comparison needs; its metrics
-    (events scheduled, grants, queue waits) are engine-independent, so
-    any drift between engines fails the equivalence tests.
+    handful of far-future sleepers (periods of 2000+ ticks).  Its
+    ticks/s therefore isolates the event core itself: it is the canary
+    for a kernel slowdown that model-level scenarios would dilute, and
+    its metrics (events scheduled, grants, queue waits) pin the
+    kernel's dispatch order.
     """
     sim = Simulator()
     rng = RandomStream(seed, "core.microbench")
@@ -532,7 +532,7 @@ def _trial_count(quick: bool, trials: Optional[int]) -> int:
 
 
 def _run_suite_parallel(selected: List[Scenario], quick: bool, count: int,
-                        jobs: int, engine: str,
+                        jobs: int,
                         progress: Optional[Callable[[str], None]]
                         ) -> Dict[str, Dict]:
     """All (scenario x trial) cells fanned out across worker processes.
@@ -541,14 +541,12 @@ def _run_suite_parallel(selected: List[Scenario], quick: bool, count: int,
     the simulated fields of the result are identical to the serial
     path's; only the wall-clock measurements differ (they describe the
     host, and a loaded host at ``jobs=N`` is a different host).
-    Results are merged back in (scenario, trial) order.  The engine
-    travels in every spec — worker processes do not inherit the
-    parent's ambient default.
+    Results are merged back in (scenario, trial) order.
     """
     from repro.observatory.runner import (bench_trial, describe_bench_spec,
                                           run_ordered)
 
-    specs = [(scenario.name, quick, TRIAL_SEEDS[index], engine)
+    specs = [(scenario.name, quick, TRIAL_SEEDS[index])
              for scenario in selected for index in range(count)]
     records = run_ordered(specs, bench_trial, jobs=jobs,
                           describe=describe_bench_spec)
@@ -576,22 +574,13 @@ def run_suite(quick: bool = False, trials: Optional[int] = None,
               scenarios: Optional[List[str]] = None,
               skip_overhead: bool = False,
               jobs: int = 1,
-              engine: Optional[str] = None,
               progress: Optional[Callable[[str], None]] = None) -> Dict:
     """Run the pinned suite and return the BENCH document.
 
     ``jobs > 1`` fans the (scenario x trial) grid out over worker
     processes via :mod:`repro.observatory.runner`; the simulated
     content of the document is identical at any job count.
-
-    ``engine`` pins the event engine for every trial (default: the
-    process-wide default, normally ``"wheel"``).  The engine is a pure
-    host-side choice — identical pop order, metrics and telemetry —
-    so the document's simulated fields are engine-independent; only
-    ticks/s moves, which is exactly what ``--engine heap`` exists to
-    measure.
     """
-    engine = engine or default_engine()
     selected = list(SCENARIOS)
     if scenarios:
         by_name = {s.name: s for s in SCENARIOS}
@@ -604,7 +593,6 @@ def run_suite(quick: bool = False, trials: Optional[int] = None,
     document: Dict = {
         "schema": BENCH_SCHEMA,
         "mode": "quick" if quick else "full",
-        "engine": engine,
         "host": {
             "platform": platform.platform(),
             "python": platform.python_version(),
@@ -619,30 +607,25 @@ def run_suite(quick: bool = False, trials: Optional[int] = None,
             "trials": trials,
             "scenarios": [s.name for s in selected],
             "skip_overhead": skip_overhead,
-            "engine": engine,
         }, schema=BENCH_SCHEMA),
         "scenarios": {},
         "overhead": None,
     }
-    previous = set_default_engine(engine)
-    try:
-        if jobs is not None and jobs > 1:
-            count = _trial_count(quick, trials)
-            document["scenarios"] = _run_suite_parallel(
-                selected, quick, count, jobs, engine, progress)
-        else:
-            for scenario in selected:
-                if progress is not None:
-                    progress(f"{scenario.name}: {scenario.description}")
-                result = run_scenario(scenario, quick=quick, trials=trials,
-                                      progress=progress)
-                document["scenarios"][scenario.name] = result.to_dict()
-        if not skip_overhead:
+    if jobs is not None and jobs > 1:
+        count = _trial_count(quick, trials)
+        document["scenarios"] = _run_suite_parallel(
+            selected, quick, count, jobs, progress)
+    else:
+        for scenario in selected:
             if progress is not None:
-                progress("overhead: disabled-tracing wall-clock guard")
-            document["overhead"] = measure_overhead(quick=quick)
-    finally:
-        set_default_engine(previous)
+                progress(f"{scenario.name}: {scenario.description}")
+            result = run_scenario(scenario, quick=quick, trials=trials,
+                                  progress=progress)
+            document["scenarios"][scenario.name] = result.to_dict()
+    if not skip_overhead:
+        if progress is not None:
+            progress("overhead: disabled-tracing wall-clock guard")
+        document["overhead"] = measure_overhead(quick=quick)
     return document
 
 
@@ -669,6 +652,9 @@ def validate_bench(document: Dict) -> List[str]:
             problems.append(f"{name}: trials must be a non-empty list")
         else:
             for i, trial in enumerate(trials):
+                if not isinstance(trial, dict):
+                    problems.append(f"{name}: trial {i} is not an object")
+                    continue
                 for key in ("seed", "cycles", "wall_seconds",
                             "ticks_per_second"):
                     if not isinstance(trial.get(key), (int, float)):

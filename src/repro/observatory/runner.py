@@ -154,35 +154,22 @@ def run_ordered(specs: Sequence, worker: Callable, jobs: int = 1,
 # workers (module-level: they pickle by reference into worker processes)
 
 
-def bench_trial(spec: Tuple) -> Dict:
-    """One seeded bench trial: ``(scenario_name, quick, seed[, engine])``.
+def bench_trial(spec: Tuple[str, bool, int]) -> Dict:
+    """One seeded bench trial: ``(scenario_name, quick, seed)``.
 
     Returns the trial record plus the simulated metrics; the caller
     keeps metrics only for trial 0, matching the serial path.  Wall
     time is measured inside the worker, exactly as the serial path
     times the bare runner call.
-
-    The optional fourth element pins the event engine inside this
-    worker process (the parent's ambient default does not cross the
-    process boundary); three-element specs — the campaign ledger's
-    pinned shape — keep the worker's own default, which is the same
-    simulated result by the engine-equivalence contract.
     """
-    from repro.common.events import set_default_engine
     from repro.observatory import bench
 
-    name, quick, seed = spec[:3]
-    engine = spec[3] if len(spec) > 3 else None
+    name, quick, seed = spec
     scenario = next(s for s in bench.SCENARIOS if s.name == name)
     horizon = scenario.horizon(quick)
-    previous = set_default_engine(engine) if engine else None
-    try:
-        start = bench._now()
-        cycles, metrics = scenario.runner(scenario, horizon, seed)
-        elapsed = bench._now() - start
-    finally:
-        if previous is not None:
-            set_default_engine(previous)
+    start = bench._now()
+    cycles, metrics = scenario.runner(scenario, horizon, seed)
+    elapsed = bench._now() - start
     return {
         "seed": seed,
         "cycles": cycles,
@@ -294,9 +281,7 @@ def _describe_sweep_spec(spec) -> str:
 
 
 def describe_bench_spec(spec) -> str:
-    name, _quick, seed = spec[:3]
-    if len(spec) > 3 and spec[3]:
-        return f"({name}, seed {seed}, engine {spec[3]})"
+    name, _quick, seed = spec
     return f"({name}, seed {seed})"
 
 

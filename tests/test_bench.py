@@ -22,6 +22,7 @@ from repro.observatory import (
     BENCH_SCHEMA,
     bench_files,
     compare_bench,
+    load_bench,
     next_bench_path,
     run_scenario,
     scenario_names,
@@ -31,6 +32,8 @@ from repro.observatory import (
 from repro.observatory.bench import SCENARIOS
 
 pytestmark = pytest.mark.observatory
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def synthetic_bench(rates, noise=0.0, mode="full"):
@@ -118,14 +121,33 @@ class TestBenchFiles:
         assert validate_bench(synthetic_bench({"a": 1.0})) == []
 
     def test_validation_catches_damage(self):
-        doc = synthetic_bench({"a": 1.0})
+        doc = synthetic_bench({"a": 1.0, "b": 1.0})
         doc["schema"] = "nonsense/9"
         doc["scenarios"]["a"]["trials"] = []
         doc["scenarios"]["a"]["metrics"] = {}
+        doc["scenarios"]["b"]["trials"] = [1, 2]
         problems = validate_bench(doc)
         assert any("schema" in p for p in problems)
         assert any("trials" in p for p in problems)
         assert any("metrics" in p for p in problems)
+        assert "b: trial 0 is not an object" in problems
+        assert "b: trial 1 is not an object" in problems
+
+    def test_committed_bench_documents_still_load(self):
+        """Every committed BENCH file validates, stale fields such as
+        BENCH_0003's ``"engine"`` included, and each consecutive pair
+        still compares."""
+        paths = bench_files(REPO_ROOT)
+        names = [path.name for path in paths]
+        for n in (1, 2, 3):
+            assert f"BENCH_{n:04d}.json" in names
+        documents = [load_bench(path) for path in paths]
+        for path, document in zip(paths, documents):
+            assert validate_bench(document) == [], path.name
+        for previous, current in zip(documents, documents[1:]):
+            report = compare_bench(previous, current)
+            assert report.deltas
+            assert "bench compare:" in report.render()
 
     def test_write_refuses_invalid_document(self, tmp_path):
         with pytest.raises(ConfigurationError):

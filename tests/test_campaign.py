@@ -169,6 +169,9 @@ class TestSpecValidation:
         ({"kind": "probe", "name": ""}, "name"),
         ({"kind": "sweep", "exclude": [{"threads": 1}]}, "unknown axis"),
         ({"kind": "sweep", "exclude": ["np1"]}, "mapping"),
+        # Bench groups have no engine axis; setting one fails by key name.
+        ({"kind": "bench", "engine": ["wheel", "heap"]},
+         r"unknown key\(s\) for kind 'bench': engine"),
     ])
     def test_bad_groups(self, group, fragment):
         with pytest.raises(ConfigurationError, match=fragment):

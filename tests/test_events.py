@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event kernel."""
 
+import random
+from itertools import accumulate, count
+
 import pytest
 
 from repro.common.errors import DeadlockError, SimulationError
@@ -329,3 +332,180 @@ class TestRunControl:
         sim.call_at(6, lambda: fired.append(sim.now))
         sim.run()
         assert fired == [6]
+
+
+# -- dispatch order under adversarial schedules --------------------------
+
+#: Adversarial delay palette: same-tick ties (0 twice), dense small
+#: delays, and far-future timers well beyond the dense population.
+DELAYS = (0, 0, 1, 1, 2, 3, 7, 64, 1023, 1024, 1500, 4096)
+
+SEEDS = range(1987, 2002)
+
+
+def _script(seed: int):
+    """Worker delay plans and callback-chain offsets drawn from ``seed``.
+
+    The script is generated outside the simulation, so the kernel and
+    the reference below replay the identical schedule.
+    """
+    rng = random.Random(seed)
+    plans = [[rng.choice(DELAYS) for _ in range(30)] for _ in range(12)]
+    chains = [[rng.choice(DELAYS) for _ in range(10)] for _ in range(6)]
+    return plans, chains
+
+
+def _kernel_log(seed: int, until=None) -> list:
+    """Dispatch log of the scripted schedule on the real kernel.
+
+    Worker processes cycle through their delay plans (zero-delay
+    self-reschedules and same-tick ties included) beside bare callback
+    chains.  With ``until``, the run drains to that horizon first and
+    logs ``peek()`` and ``now`` there before finishing.
+    """
+    plans, chains = _script(seed)
+    sim = Simulator()
+    log = []
+
+    def worker(wid, plan):
+        for delay in plan:
+            yield sim.timeout(delay)
+            log.append(("proc", wid, sim.now))
+
+    for wid, plan in enumerate(plans):
+        sim.process(worker(wid, plan), name=f"w{wid}")
+
+    def start_chain(cid, offsets):
+        pending = iter(offsets)
+
+        def fire():
+            log.append(("call", cid, sim.now))
+            nxt = next(pending, None)
+            if nxt is not None:
+                sim.call_at(nxt, fire)
+
+        sim.call_at(next(pending), fire)
+
+    for cid, offsets in enumerate(chains):
+        start_chain(cid, offsets)
+
+    if until is None:
+        sim.run()
+    else:
+        sim.run_until(until)
+        log.append(("peek", sim.peek(), sim.now))
+        sim.run()
+    return log
+
+
+def _reference_log(seed: int, until=None) -> list:
+    """The same script dispatched by an independent reference.
+
+    No heap: the pending set is a plain list, and each step takes the
+    entry with the least ``(time, schedule order)`` by linear scan — the
+    kernel's documented order, with same-time entries first-in
+    first-out.  A worker's process-start event is one entry at time 0;
+    each entry it dispatches afterwards schedules the next delay.
+    """
+    plans, chains = _script(seed)
+    pending = []  # (time, order, kind, ident, step)
+    counter = count()
+    for wid in range(len(plans)):
+        pending.append((0, next(counter), "start", wid, -1))
+    for cid, offsets in enumerate(chains):
+        pending.append((offsets[0], next(counter), "call", cid, 0))
+    log = []
+    peeked = until is None
+    while pending:
+        entry = min(pending)
+        time, _, kind, ident, step = entry
+        if not peeked and time > until:
+            log.append(("peek", time, until))
+            peeked = True
+        pending.remove(entry)
+        if kind == "call":
+            log.append(("call", ident, time))
+            if step + 1 < len(chains[ident]):
+                pending.append((time + chains[ident][step + 1],
+                                next(counter), "call", ident, step + 1))
+            continue
+        if kind == "proc":
+            log.append(("proc", ident, time))
+        if step + 1 < len(plans[ident]):
+            pending.append((time + plans[ident][step + 1], next(counter),
+                            "proc", ident, step + 1))
+    if not peeked:
+        log.append(("peek", None, until))
+    return log
+
+
+class TestDispatchOrder:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_adversarial_schedule_matches_reference(self, seed):
+        log = _kernel_log(seed)
+        assert log == _reference_log(seed)
+        times = [entry[2] for entry in log]
+        assert times == sorted(times), "dispatch time went backwards"
+        plans, _ = _script(seed)
+        for wid, plan in enumerate(plans):
+            landed = [now for kind, ident, now in log
+                      if kind == "proc" and ident == wid]
+            assert landed == list(accumulate(plan))
+
+    @pytest.mark.parametrize("seed", (1987, 1993))
+    def test_run_until_then_run(self, seed):
+        """Partial drains and peek() agree with the reference too."""
+        assert _kernel_log(seed, until=900) == _reference_log(seed,
+                                                             until=900)
+
+    def test_zero_delay_storm_is_fifo(self):
+        """Zero-delay self-reschedules dispatch in schedule order
+        within one tick: round-robin over the workers, hop by hop."""
+        sim = Simulator()
+        log = []
+
+        def storm(wid):
+            for hop in range(50):
+                yield sim.timeout(0)
+                log.append((wid, hop, sim.now))
+
+        for wid in range(8):
+            sim.process(storm(wid), name=f"s{wid}")
+        sim.run()
+        assert log == [(wid, hop, 0) for hop in range(50)
+                       for wid in range(8)]
+
+    def test_lone_far_future_sleeper(self):
+        sim = Simulator()
+        fired = []
+        sim.call_at(10_240, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [10_240]
+        assert sim.now == 10_240
+
+
+class TestSchedulingErrorContext:
+    def test_negative_timeout_names_process_and_now(self):
+        sim = Simulator()
+
+        def offender():
+            yield sim.timeout(5)
+            yield sim.timeout(-3)
+
+        sim.process(offender(), name="culprit")
+        with pytest.raises(SimulationError) as excinfo:
+            sim.run()
+        message = str(excinfo.value)
+        assert "-3" in message
+        assert "now=5" in message
+        assert "'culprit'" in message
+
+    def test_negative_call_at_names_delay_and_now(self):
+        sim = Simulator()
+        sim.call_at(7, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError) as excinfo:
+            sim.call_at(-2, lambda: None)
+        message = str(excinfo.value)
+        assert "-2" in message
+        assert "now=7" in message

@@ -37,11 +37,23 @@ Pending events live in one binary heap of ``(time, seq, proc, value,
 callback)`` entries.  ``seq`` is a global schedule counter, so events
 at the same time dispatch in the order they were scheduled (FIFO);
 ``tests/test_events.py`` pins that order.
+
+*Direct dispatch.*  When a process yields a timeout, an acquire of an
+idle resource, an already-fired event or a finished process, its
+wake-up time is known at once.  If that time is strictly earlier than
+the heap head (or the heap is empty) and within the running drain's
+horizon (the ``run_until`` limit; ``run`` has none), its entry would
+be the very next one popped: a new entry carries the largest ``seq``,
+so it loses every same-time tie.  The process then resumes in place
+without touching the heap.  Dispatch order, ``now`` at each resume,
+resource grants and waits are unchanged, and ``seq`` still counts one
+schedule per wake-up.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, Generator, Iterator, List, Optional, Tuple
 
 from repro.common.errors import DeadlockError, SimulationError
@@ -83,13 +95,6 @@ class Event:
         waiters, self._waiters = self._waiters, []
         for proc in waiters:
             self._sim._schedule(0, proc, value)
-
-    def _add_waiter(self, proc: "Process") -> None:
-        if self._fired:
-            # Late waiters see the value immediately (next delta).
-            self._sim._schedule(0, proc, self._value)
-        else:
-            self._waiters.append(proc)
 
 
 class _Timeout:
@@ -139,53 +144,80 @@ class Process:
         """The generator's return value (``None`` until done)."""
         return self._result
 
-    def _add_waiter(self, proc: "Process") -> None:
-        if self._done:
-            self._sim._schedule(0, proc, self._result)
-        else:
-            self._joiners.append(proc)
-
     def _step(self, send_value: Any) -> None:
-        """Advance the generator by one yield, then dispatch the waitable."""
+        """Advance the generator, dispatching each waitable it yields.
+
+        Each waitable resolves to a wake-up ``(when, value)`` that counts
+        one schedule in ``sim._seq``, unless it must block (a held
+        resource, a pending event, a running join): then the process is
+        queued on that object and the step ends.  The wake-up entry
+        would sort last among same-time entries, so it is the next one
+        the drain loop pops exactly when ``when`` is strictly earlier
+        than the heap head (or the heap is empty) and within the drain's
+        horizon.  Then the process resumes in place, with no heap round
+        trip; otherwise the entry is pushed.
+        """
         sim = self._sim
         sim._current = self
-        try:
-            waitable = self._gen.send(send_value)
-        except StopIteration as stop:
-            self._done = True
-            self._result = stop.value
-            self._blocked_on = None
-            sim._live.discard(self)
-            joiners, self._joiners = self._joiners, []
-            for j in joiners:
-                sim._schedule(0, j, self._result)
-            return
-        # Timeouts dominate every workload (one per simulated tick), so
-        # that branch is checked first and pushes straight onto the heap
-        # — no _schedule() frame, no negative-delay re-check (the
-        # _Timeout constructor already validated the delay).
-        if waitable.__class__ is _Timeout:
-            self._blocked_on = "timeout"
+        heap = sim._heap
+        gen = self._gen
+        while True:
+            try:
+                waitable = gen.send(send_value)
+            except StopIteration as stop:
+                self._done = True
+                self._result = stop.value
+                self._blocked_on = None
+                sim._live.discard(self)
+                joiners, self._joiners = self._joiners, []
+                for j in joiners:
+                    sim._schedule(0, j, self._result)
+                return
+            # Timeouts dominate every workload (one per simulated tick),
+            # then acquires (one per bus transaction): exact class
+            # checks, most frequent first.
+            cls = waitable.__class__
+            if cls is _Timeout:
+                self._blocked_on = "timeout"
+                when = sim.now + waitable.delay
+                send_value = waitable.value
+            elif cls is _AcquireRequest:
+                resource = waitable.resource
+                self._blocked_on = resource._blocked_label
+                self._blocked_obj = resource
+                if resource._holder is not None:
+                    resource._enqueue(waitable, self)
+                    return
+                # No holder means an empty queue: granted now, no wait.
+                resource._holder = self
+                resource._grants += 1
+                when = sim.now
+                send_value = resource
+            elif isinstance(waitable, Event):
+                self._blocked_on = f"event:{waitable.name}"
+                if not waitable._fired:
+                    waitable._waiters.append(self)
+                    return
+                when = sim.now
+                send_value = waitable._value
+            elif isinstance(waitable, Process):
+                self._blocked_on = f"join:{waitable.name}"
+                self._blocked_obj = waitable
+                if not waitable._done:
+                    waitable._joiners.append(self)
+                    return
+                when = sim.now
+                send_value = waitable._result
+            else:
+                raise SimulationError(
+                    f"process {self.name!r} yielded unsupported waitable "
+                    f"{waitable!r}")
             sim._seq += 1
-            heappush(sim._heap, (sim.now + waitable.delay, sim._seq, self,
-                                 waitable.value, None))
-        elif waitable.__class__ is _AcquireRequest:
-            # Second-hottest waitable (one per bus transaction); exact
-            # class check, mirroring the timeout branch.
-            self._blocked_on = waitable.resource._blocked_label
-            self._blocked_obj = waitable.resource
-            waitable.resource._enqueue(waitable, self)
-        elif isinstance(waitable, Event):
-            self._blocked_on = f"event:{waitable.name}"
-            waitable._add_waiter(self)
-        elif isinstance(waitable, Process):
-            self._blocked_on = f"join:{waitable.name}"
-            self._blocked_obj = waitable
-            waitable._add_waiter(self)
-        else:
-            raise SimulationError(
-                f"process {self.name!r} yielded unsupported waitable {waitable!r}"
-            )
+            if (not heap or when < heap[0][0]) and when <= sim._horizon:
+                sim.now = when
+                continue
+            heappush(heap, (when, sim._seq, self, send_value, None))
+            return
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self._done else (self._blocked_on or "ready")
@@ -265,24 +297,18 @@ class Resource:
                 f"{self._holder.name if self._holder else None!r}"
             )
         self._holder = None
-        self._grant_next()
+        if self._queue:
+            _, _, enqueued, waiter = heappop(self._queue)
+            self._holder = waiter
+            self._grants += 1
+            self._wait_cycles += self._sim.now - enqueued
+            self._sim._schedule(0, waiter, self)
 
     def _enqueue(self, request: _AcquireRequest, proc: Process) -> None:
-        # heappush is the pre-bound C function (module import), matching
-        # the treated run-loop/_step sites: one per bus transaction.
+        # Only reached while the resource is held (Process._step grants
+        # an idle resource in place), so the request always waits.
         self._seq += 1
         heappush(self._queue, (request.priority, self._seq, self._sim.now, proc))
-        if self._holder is None:
-            self._grant_next()
-
-    def _grant_next(self) -> None:
-        if self._holder is not None or not self._queue:
-            return
-        _, _, enqueued, proc = heappop(self._queue)
-        self._holder = proc
-        self._grants += 1
-        self._wait_cycles += self._sim.now - enqueued
-        self._sim._schedule(0, proc, self)
 
 
 class Simulator:
@@ -294,7 +320,8 @@ class Simulator:
     value, callback)`` tuples popped in ``(time, seq)`` order.
     """
 
-    __slots__ = ("now", "_heap", "_seq", "_live", "_timeouts", "_current")
+    __slots__ = ("now", "_heap", "_seq", "_live", "_timeouts", "_current",
+                 "_horizon")
 
     def __init__(self) -> None:
         self.now: int = 0
@@ -312,6 +339,11 @@ class Simulator:
         #: while idle or inside a bare callback); lets scheduling errors
         #: name their culprit.
         self._current: Optional[Process] = None
+        #: The latest time the running drain may dispatch: the
+        #: ``run_until`` limit, or infinity under ``run``.  Process._step
+        #: resumes a process in place only within it; -1 before any
+        #: drain, so nothing does.
+        self._horizon: float = -1
 
     # -- scheduling ---------------------------------------------------
 
@@ -375,20 +407,7 @@ class Simulator:
         live processes remain blocked when the queue drains (useful in
         tests of the synchronisation primitives).
         """
-        # The drain loop runs once per simulated event and dominates the
-        # wall-clock of every run, so it is inlined with the heap and
-        # heappop bound locally; run_until repeats it with a time limit.
-        heap = self._heap
-        pop = heappop
-        while heap:
-            time, _, proc, value, callback = pop(heap)
-            self.now = time
-            if callback is None:
-                if proc is not None:
-                    proc._step(value)
-            else:
-                self._current = None
-                callback()
+        self._drain(inf)
         if check_deadlock and self._live:
             blocked = sorted(
                 (p.name, p._blocked_on or "?")
@@ -397,6 +416,39 @@ class Simulator:
             if blocked:
                 raise DeadlockError(blocked, now=self.now,
                                     edges=self._wait_edges())
+
+    def run_until(self, end_time: int) -> None:
+        """Run events with timestamps ``<= end_time``, then set ``now`` there.
+
+        Models use this for fixed-horizon measurement windows: the clock
+        always lands exactly on ``end_time`` even if no event occurs
+        then.
+        """
+        if end_time < self.now:
+            raise SimulationError(
+                f"run_until({end_time}) is in the past (now={self.now})"
+            )
+        self._drain(end_time)
+        self.now = end_time
+
+    def _drain(self, horizon: float) -> None:
+        """Dispatch pending events in ``(time, seq)`` order up to ``horizon``.
+
+        The loop runs once per queued event and dominates the wall-clock
+        of every run, so the heap and ``heappop`` are bound locally.
+        """
+        self._horizon = horizon
+        heap = self._heap
+        pop = heappop
+        while heap and heap[0][0] <= horizon:
+            time, _, proc, value, callback = pop(heap)
+            self.now = time
+            if callback is None:
+                if proc is not None:
+                    proc._step(value)
+            else:
+                self._current = None
+                callback()
 
     def _wait_edges(self):
         """(waiter, resource, holder) triples over the live processes.
@@ -419,30 +471,6 @@ class Simulator:
                 holder = obj.name
             edges.append((proc.name, label, holder))
         return sorted(edges)
-
-    def run_until(self, end_time: int) -> None:
-        """Run events with timestamps ``<= end_time``, then set ``now`` there.
-
-        Models use this for fixed-horizon measurement windows: the clock
-        always lands exactly on ``end_time`` even if no event occurs
-        then.
-        """
-        if end_time < self.now:
-            raise SimulationError(
-                f"run_until({end_time}) is in the past (now={self.now})"
-            )
-        heap = self._heap
-        pop = heappop
-        while heap and heap[0][0] <= end_time:
-            time, _, proc, value, callback = pop(heap)
-            self.now = time
-            if callback is None:
-                if proc is not None:
-                    proc._step(value)
-            else:
-                self._current = None
-                callback()
-        self.now = end_time
 
     def peek(self) -> Optional[int]:
         """Timestamp of the next pending event, or ``None`` if idle."""

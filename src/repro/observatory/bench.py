@@ -243,10 +243,10 @@ def _core_microbench_runner(scenario: Scenario, horizon: Horizon,
     population of small fixed-delay tickers (the dominant event class),
     priority-arbitrated resource contention (the MBus pattern), and a
     handful of far-future sleepers (periods of 2000+ ticks).  Its
-    ticks/s therefore isolates the event core itself: it is the canary
-    for a kernel slowdown that model-level scenarios would dilute, and
-    its metrics (events scheduled, grants, queue waits) pin the
-    kernel's dispatch order.
+    ticks/s therefore isolates the event core's heap path: with this
+    many processes queued no wake-up is ever the next event, so direct
+    dispatch never fires here.  Its metrics (events scheduled, grants,
+    queue waits) pin the kernel's dispatch order.
     """
     sim = Simulator()
     rng = RandomStream(seed, "core.microbench")

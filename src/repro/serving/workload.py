@@ -55,6 +55,18 @@ def _require(condition: bool, path: str, message: str, value: Any) -> None:
             f"topology: {path} {message}, got {value!r}")
 
 
+def _require_int(value: Any, path: str) -> None:
+    """A count or a cycle figure must be an ``int`` (not a ``bool``)."""
+    _require(isinstance(value, int) and not isinstance(value, bool), path,
+             "must be an integer", value)
+
+
+def _require_number(value: Any, path: str) -> None:
+    """A rate or a factor must be an ``int`` or a ``float`` (not a ``bool``)."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+             path, "must be a number", value)
+
+
 @dataclass(frozen=True)
 class ArrivalSpec:
     """One tier's arrival process over sim time."""
@@ -73,6 +85,10 @@ class ArrivalSpec:
     def validate(self, path: str) -> None:
         _require(self.process in ARRIVAL_PROCESSES, f"{path}.process",
                  f"must be one of {ARRIVAL_PROCESSES}", self.process)
+        _require_int(self.mean_gap_cycles, f"{path}.mean_gap_cycles")
+        _require_number(self.burst_factor, f"{path}.burst_factor")
+        _require_int(self.period_cycles, f"{path}.period_cycles")
+        _require_number(self.amplitude, f"{path}.amplitude")
         _require(self.mean_gap_cycles > 0, f"{path}.mean_gap_cycles",
                  "must be positive", self.mean_gap_cycles)
         _require(self.burst_factor >= 1.0, f"{path}.burst_factor",
@@ -108,6 +124,8 @@ class SloSpec:
     success_rate: float = 0.0
 
     def validate(self, path: str) -> None:
+        _require_int(self.p99_cycles, f"{path}.p99_cycles")
+        _require_number(self.success_rate, f"{path}.success_rate")
         _require(self.p99_cycles >= 0, f"{path}.p99_cycles",
                  "must be >= 0", self.p99_cycles)
         _require(0.0 <= self.success_rate <= 1.0, f"{path}.success_rate",
@@ -139,6 +157,9 @@ class TierSpec:
     def validate(self, path: str) -> None:
         _require(bool(self.name), f"{path}.name", "must be non-empty",
                  self.name)
+        for name in ("workers", "deadline_cycles", "calls_per_request",
+                     "queue_limit"):
+            _require_int(getattr(self, name), f"{path}.{name}")
         _require(self.workers > 0, f"{path}.workers", "must be positive",
                  self.workers)
         _require(self.deadline_cycles >= 0, f"{path}.deadline_cycles",
@@ -162,6 +183,9 @@ class ServerSpec:
     reply_bytes: int = 64
 
     def validate(self, path: str) -> None:
+        for name in ("pool", "turnaround_cycles", "payload_bytes",
+                     "packets_per_call", "reply_bytes"):
+            _require_int(getattr(self, name), f"{path}.{name}")
         _require(self.pool > 0, f"{path}.pool", "must be positive",
                  self.pool)
         _require(self.turnaround_cycles >= 0, f"{path}.turnaround_cycles",

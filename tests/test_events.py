@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event kernel."""
 
 import random
+from collections import Counter
+from dataclasses import dataclass, field
 from itertools import accumulate, count
 
 import pytest
@@ -340,30 +342,52 @@ class TestRunControl:
 #: delays, and far-future timers well beyond the dense population.
 DELAYS = (0, 0, 1, 1, 2, 3, 7, 64, 1023, 1024, 1500, 4096)
 
+#: Resource contender priorities: ties are common on purpose, so grants
+#: exercise both the priority order and the request order within one.
+PRIORITIES = (0, 1, 1, 2)
+
+#: Contenders share this many resources (contender ``c`` uses ``c % n``).
+RESOURCES = 2
+
 SEEDS = range(1987, 2002)
 
 
-def _script(seed: int):
-    """Worker delay plans and callback-chain offsets drawn from ``seed``.
+@dataclass
+class Script:
+    """A schedule generated outside the simulation.
 
-    The script is generated outside the simulation, so the kernel and
-    the reference below replay the identical schedule.
+    The kernel and the reference below replay the identical schedule:
+    ``plans`` are timeout-only workers, ``chains`` bare callback chains,
+    ``contenders`` rounds of ``(gap, priority, hold)`` on a shared
+    resource, and ``waiters`` delay plans after each of which a process
+    waits on an already-fired event and joins an already-finished one.
     """
+
+    plans: list = field(default_factory=list)
+    chains: list = field(default_factory=list)
+    contenders: list = field(default_factory=list)
+    waiters: list = field(default_factory=list)
+
+
+def _script(seed: int) -> Script:
+    """The adversarial script drawn from ``seed``."""
     rng = random.Random(seed)
-    plans = [[rng.choice(DELAYS) for _ in range(30)] for _ in range(12)]
-    chains = [[rng.choice(DELAYS) for _ in range(10)] for _ in range(6)]
-    return plans, chains
+    return Script(
+        plans=[[rng.choice(DELAYS) for _ in range(30)] for _ in range(12)],
+        chains=[[rng.choice(DELAYS) for _ in range(10)] for _ in range(6)],
+        contenders=[[(rng.choice(DELAYS), rng.choice(PRIORITIES),
+                      rng.choice(DELAYS)) for _ in range(8)]
+                    for _ in range(6)],
+        waiters=[[rng.choice(DELAYS) for _ in range(10)] for _ in range(3)],
+    )
 
 
-def _kernel_log(seed: int, until=None) -> list:
-    """Dispatch log of the scripted schedule on the real kernel.
+def _kernel_log(script: Script, until=None):
+    """``(dispatch log, sim._seq)`` of the script on the real kernel.
 
-    Worker processes cycle through their delay plans (zero-delay
-    self-reschedules and same-tick ties included) beside bare callback
-    chains.  With ``until``, the run drains to that horizon first and
-    logs ``peek()`` and ``now`` there before finishing.
+    With ``until``, the run drains to that horizon first and logs
+    ``peek()`` and ``now`` there before finishing.
     """
-    plans, chains = _script(seed)
     sim = Simulator()
     log = []
 
@@ -372,8 +396,41 @@ def _kernel_log(seed: int, until=None) -> list:
             yield sim.timeout(delay)
             log.append(("proc", wid, sim.now))
 
-    for wid, plan in enumerate(plans):
+    def contender(cid, res, rounds):
+        for gap, priority, hold in rounds:
+            yield sim.timeout(gap)
+            granted = yield res.acquire(priority)
+            assert granted is res and res.holder is me[cid]
+            log.append(("grant", cid, sim.now))
+            yield sim.timeout(hold)
+            res.release(me[cid])
+            log.append(("release", cid, sim.now))
+
+    fired = sim.event("fired")
+    fired.succeed("early")
+
+    def finished():
+        return "payload"
+        yield  # pragma: no cover
+
+    def waiter(lid, plan, done):
+        for delay in plan:
+            yield sim.timeout(delay)
+            assert (yield fired) == "early"
+            log.append(("event", lid, sim.now))
+            assert (yield done) == "payload"
+            log.append(("join", lid, sim.now))
+
+    for wid, plan in enumerate(script.plans):
         sim.process(worker(wid, plan), name=f"w{wid}")
+    resources = [sim.resource(f"r{r}") for r in range(RESOURCES)]
+    me = [sim.process(contender(cid, resources[cid % RESOURCES], rounds),
+                      name=f"c{cid}")
+          for cid, rounds in enumerate(script.contenders)]
+    if script.waiters:
+        done = sim.process(finished(), name="done")
+        for lid, plan in enumerate(script.waiters):
+            sim.process(waiter(lid, plan, done), name=f"l{lid}")
 
     def start_chain(cid, offsets):
         pending = iter(offsets)
@@ -386,7 +443,7 @@ def _kernel_log(seed: int, until=None) -> list:
 
         sim.call_at(next(pending), fire)
 
-    for cid, offsets in enumerate(chains):
+    for cid, offsets in enumerate(script.chains):
         start_chain(cid, offsets)
 
     if until is None:
@@ -395,68 +452,156 @@ def _kernel_log(seed: int, until=None) -> list:
         sim.run_until(until)
         log.append(("peek", sim.peek(), sim.now))
         sim.run()
-    return log
+    return log, sim._seq
 
 
-def _reference_log(seed: int, until=None) -> list:
+def _programs(script: Script) -> list:
+    """Each process of the script as a flat list of operations.
+
+    Processes are listed in the kernel's creation order: workers,
+    contenders, then (with waiters) the finished process and the
+    waiters.
+    """
+    programs = []
+    for wid, plan in enumerate(script.plans):
+        programs.append([op for delay in plan
+                         for op in (("sleep", delay), ("log", "proc", wid))])
+    for cid, rounds in enumerate(script.contenders):
+        res = cid % RESOURCES
+        programs.append([op for gap, priority, hold in rounds for op in (
+            ("sleep", gap), ("acquire", res, priority),
+            ("log", "grant", cid), ("sleep", hold), ("release", res),
+            ("log", "release", cid))])
+    if script.waiters:
+        programs.append([])  # returns on its first step
+        for lid, plan in enumerate(script.waiters):
+            programs.append([op for delay in plan for op in (
+                ("sleep", delay), ("wait",), ("log", "event", lid),
+                ("wait",), ("log", "join", lid))])
+    return programs
+
+
+def _reference_log(script: Script, until=None):
     """The same script dispatched by an independent reference.
 
     No heap: the pending set is a plain list, and each step takes the
     entry with the least ``(time, schedule order)`` by linear scan — the
     kernel's documented order, with same-time entries first-in
-    first-out.  A worker's process-start event is one entry at time 0;
-    each entry it dispatches afterwards schedules the next delay.
+    first-out.  A dispatched process runs its operations until one
+    blocks: a sleep schedules its wake-up; an acquire of a free resource
+    schedules the grant at the current time, and of a held one queues
+    by ``(priority, request order)``; a release hands the resource to
+    the least queued request and schedules that grant; a wait on the
+    fired event or the finished process schedules its resume at the
+    current time.  Returns ``(dispatch log, schedules counted)``.
     """
-    plans, chains = _script(seed)
-    pending = []  # (time, order, kind, ident, step)
-    counter = count()
-    for wid in range(len(plans)):
-        pending.append((0, next(counter), "start", wid, -1))
-    for cid, offsets in enumerate(chains):
+    programs = _programs(script)
+    pending = []  # (time, order, kind, ident, pc)
+    counter = count(1)
+    for pid in range(len(programs)):
+        pending.append((0, next(counter), "proc", pid, 0))
+    for cid, offsets in enumerate(script.chains):
         pending.append((offsets[0], next(counter), "call", cid, 0))
+    holders = [None] * RESOURCES
+    queues = [[] for _ in range(RESOURCES)]  # (priority, order, pid, pc)
+    requests = count()
     log = []
     peeked = until is None
     while pending:
         entry = min(pending)
-        time, _, kind, ident, step = entry
+        time, _, kind, ident, pc = entry
         if not peeked and time > until:
             log.append(("peek", time, until))
             peeked = True
         pending.remove(entry)
         if kind == "call":
             log.append(("call", ident, time))
-            if step + 1 < len(chains[ident]):
-                pending.append((time + chains[ident][step + 1],
-                                next(counter), "call", ident, step + 1))
+            if pc + 1 < len(script.chains[ident]):
+                pending.append((time + script.chains[ident][pc + 1],
+                                next(counter), "call", ident, pc + 1))
             continue
-        if kind == "proc":
-            log.append(("proc", ident, time))
-        if step + 1 < len(plans[ident]):
-            pending.append((time + plans[ident][step + 1], next(counter),
-                            "proc", ident, step + 1))
+        ops = programs[ident]
+        while pc < len(ops):
+            op = ops[pc]
+            pc += 1
+            if op[0] == "log":
+                log.append((op[1], op[2], time))
+            elif op[0] == "release":
+                res = op[1]
+                assert holders[res] == ident
+                holders[res] = None
+                if queues[res]:
+                    request = min(queues[res])
+                    queues[res].remove(request)
+                    holders[res] = request[2]
+                    pending.append((time, next(counter), "proc",
+                                    request[2], request[3]))
+            elif op[0] == "acquire" and holders[op[1]] is not None:
+                queues[op[1]].append((op[2], next(requests), ident, pc))
+                break
+            else:
+                if op[0] == "acquire":
+                    holders[op[1]] = ident
+                delay = op[1] if op[0] == "sleep" else 0
+                pending.append((time + delay, next(counter), "proc",
+                                ident, pc))
+                break
     if not peeked:
         log.append(("peek", None, until))
-    return log
+    return log, next(counter) - 1
 
 
 class TestDispatchOrder:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_adversarial_schedule_matches_reference(self, seed):
-        log = _kernel_log(seed)
-        assert log == _reference_log(seed)
+        script = _script(seed)
+        log, seq = _kernel_log(script)
+        assert (log, seq) == _reference_log(script)
         times = [entry[2] for entry in log]
         assert times == sorted(times), "dispatch time went backwards"
-        plans, _ = _script(seed)
-        for wid, plan in enumerate(plans):
+        for wid, plan in enumerate(script.plans):
             landed = [now for kind, ident, now in log
                       if kind == "proc" and ident == wid]
             assert landed == list(accumulate(plan))
+        for kind, rounds in (("grant", 8), ("release", 8), ("event", 10),
+                             ("join", 10)):
+            per_process = Counter(ident for k, ident, _ in log if k == kind)
+            assert set(per_process.values()) == {rounds}
 
     @pytest.mark.parametrize("seed", (1987, 1993))
     def test_run_until_then_run(self, seed):
         """Partial drains and peek() agree with the reference too."""
-        assert _kernel_log(seed, until=900) == _reference_log(seed,
-                                                             until=900)
+        script = _script(seed)
+        assert _kernel_log(script, until=900) == _reference_log(script,
+                                                                until=900)
+
+    def test_seq_counts_every_logical_schedule(self):
+        """``_seq`` counts a schedule for each wake-up, whether it went
+        through the heap or resumed in place: a start, a timeout, an
+        uncontended grant, a fired-event wait, a finished join and a
+        callback are one each."""
+        sim = Simulator()
+        res = sim.resource()
+        fired = sim.event()
+        fired.succeed(1)
+
+        def child():
+            return 7
+            yield  # pragma: no cover
+
+        def parent():
+            kid = sim.process(child())        # start: 1
+            yield sim.timeout(3)              # 1
+            yield res.acquire()               # 1
+            res.release(res.holder)
+            assert (yield fired) == 1         # 1
+            assert (yield kid) == 7           # 1
+
+        proc = sim.process(parent())          # start: 1
+        sim.call_at(1, lambda: None)          # 1
+        sim.run()
+        assert proc.done and sim.now == 3
+        assert sim._seq == 7
 
     def test_zero_delay_storm_is_fifo(self):
         """Zero-delay self-reschedules dispatch in schedule order
@@ -482,6 +627,39 @@ class TestDispatchOrder:
         sim.run()
         assert fired == [10_240]
         assert sim.now == 10_240
+
+
+#: A lone worker's plan: wake-ups at 0, 1, 2, 5, 5, 69, 76, 1099.
+LONE_PLAN = [0, 1, 1, 3, 0, 64, 7, 1023]
+
+
+class TestLoneProcessHorizon:
+    """One process and nothing else queued: every wake-up is the next
+    event, so every one resumes in place unless the horizon stops it."""
+
+    @pytest.mark.parametrize("horizon", (0, 1, 4, 5, 68, 69, 1098, 5000))
+    def test_timeouts_straddling_run_until(self, horizon):
+        """``run_until`` stops with ``now`` on the horizon, ``peek()`` on
+        the first wake-up after it and nothing dispatched beyond it;
+        ``run`` then finishes the plan on time."""
+        script = Script(plans=[LONE_PLAN])
+        wakes = list(accumulate(LONE_PLAN))
+        after = [t for t in wakes if t > horizon]
+        log, seq = _kernel_log(script, until=horizon)
+        assert log == ([("proc", 0, t) for t in wakes if t <= horizon]
+                       + [("peek", after[0] if after else None, horizon)]
+                       + [("proc", 0, t) for t in after])
+        assert (log, seq) == _reference_log(script, until=horizon)
+
+    @pytest.mark.parametrize("horizon", (0, 3, 64, 100, 2000))
+    def test_lone_contender_straddling_run_until(self, horizon):
+        """Uncontended grants resume in place within the horizon only."""
+        script = Script(contenders=[[(3, 1, 0), (0, 0, 64), (1, 2, 7),
+                                     (1023, 1, 0)]])
+        log, seq = _kernel_log(script, until=horizon)
+        peek = next(i for i, entry in enumerate(log) if entry[0] == "peek")
+        assert all(entry[2] <= horizon for entry in log[:peek])
+        assert (log, seq) == _reference_log(script, until=horizon)
 
 
 class TestSchedulingErrorContext:

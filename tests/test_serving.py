@@ -1,6 +1,7 @@
 """The resilient serving layer: policies, workload engine, SLO gates."""
 
 import json
+import re
 
 import pytest
 
@@ -289,6 +290,37 @@ class TestHedging:
             + transports[1].stats["calls"].total == 2
 
 
+#: Integer topology fields (counts and cycle figures).
+INT_PATHS = (
+    "tiers[0].workers", "tiers[0].queue_limit", "tiers[0].deadline_cycles",
+    "tiers[0].calls_per_request", "tiers[0].arrivals.mean_gap_cycles",
+    "tiers[0].arrivals.period_cycles", "tiers[0].slo.p99_cycles",
+    "servers.pool", "servers.turnaround_cycles", "servers.payload_bytes",
+    "servers.packets_per_call", "servers.reply_bytes",
+)
+
+#: Real-valued topology fields (rates and factors).
+NUMBER_PATHS = ("tiers[0].slo.success_rate", "tiers[0].arrivals.burst_factor",
+                "tiers[0].arrivals.amplitude")
+
+#: (path, bad value) pairs: every field refuses null, a string and a
+#: bool; an integer field also refuses a float.
+BAD_NUMBERS = ([(path, value) for path in INT_PATHS
+                for value in (None, "2", True, 2.5)]
+               + [(path, value) for path in NUMBER_PATHS
+                  for value in (None, "0.5", False)])
+
+
+def _topology_document():
+    """A valid topology document with every numeric field spelt out."""
+    return {"tiers": [{"name": "web", "workers": 2, "queue_limit": 8,
+                       "deadline_cycles": 100_000, "calls_per_request": 1,
+                       "arrivals": {"mean_gap_cycles": 10_000},
+                       "slo": {"p99_cycles": 90_000,
+                               "success_rate": 0.9}}],
+            "servers": {"pool": 2}}
+
+
 class TestTopology:
     def test_from_dict_round_trips(self):
         topology = Topology(
@@ -324,6 +356,21 @@ class TestTopology:
                            match=r"period_cycles must be positive for "
                                  r"bursty"):
             ArrivalSpec(process="bursty", period_cycles=0).validate("a")
+
+    @pytest.mark.parametrize("path,value", BAD_NUMBERS)
+    def test_non_numeric_field_names_the_path(self, path, value):
+        """A null, string or bool number (or a float count) is a
+        ConfigurationError naming the field, never a TypeError from the
+        range check."""
+        document = _topology_document()
+        *parents, leaf = path.replace("[0]", ".0").split(".")
+        node = document
+        for key in parents:
+            node = node[int(key)] if key.isdigit() else node[key]
+        node[leaf] = value
+        pattern = re.escape(f"topology: {path} must be")
+        with pytest.raises(ConfigurationError, match=pattern):
+            Topology.from_dict(document)
 
     def test_arrival_gaps_are_positive_and_modulated(self):
         class FixedRng:

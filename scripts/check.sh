@@ -54,11 +54,18 @@ python -m repro.cli bench --quick --trials 1 \
     --skip-overhead --out-dir "$BENCH_TMP" \
     --baseline-dir . --compare --threshold 0.6
 
-echo "== chaos smoke (firefly-sim chaos) =="
+echo "== chaos smoke (firefly-sim chaos --jobs 2) =="
 # One quick seeded fault campaign: proves every recovery path end to
-# end (see docs/FAULTS.md); exits nonzero if any scenario fails.
+# end (see docs/FAULTS.md); exits nonzero if any scenario fails.  Run
+# twice at different job counts and require byte-identical reports:
+# both job counts go through the one scenario executor, in-process at
+# --jobs 1 and over worker processes at --jobs 2.
 python -m repro.cli chaos --quick --scenario bus-parity \
-    --scenario cpu-offline
+    --scenario cpu-offline --jobs 2 --json "$BENCH_TMP/chaos-j2.json"
+python -m repro.cli chaos --quick --scenario bus-parity \
+    --scenario cpu-offline --jobs 1 --json "$BENCH_TMP/chaos-j1.json" \
+    >/dev/null
+cmp "$BENCH_TMP/chaos-j2.json" "$BENCH_TMP/chaos-j1.json"
 
 echo "== serve smoke + SLO gate (firefly-sim serve --jobs 2) =="
 # One quick open-loop serving scenario under the resilience layer: the

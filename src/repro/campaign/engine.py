@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.provenance import content_hash, git_sha
-from repro.campaign.spec import CampaignSpec, CampaignTrial
+from repro.campaign.spec import SCENARIO_KINDS, CampaignSpec, CampaignTrial
 from repro.campaign.store import CampaignStore
 
 REPORT_SCHEMA = "firefly-campaign-report/1"
@@ -47,9 +47,9 @@ def campaign_trial(spec: Tuple[str, str, int, Dict]):
     """Run one campaign trial: ``(kind, label, seed, params)``.
 
     Module-level so it pickles by reference into worker processes.
-    Results are plain JSON-safe data: chaos outcomes are serialised in
-    the worker, bench trials drop their host wall-clock fields (the
-    campaign report must stay byte-deterministic).
+    Results are plain JSON-safe data: chaos and serve outcomes are
+    serialised in the worker, bench trials drop their host wall-clock
+    time (the campaign report must stay byte-deterministic).
     """
     kind, _label, seed, params = spec
     if kind == "sweep":
@@ -58,24 +58,15 @@ def campaign_trial(spec: Tuple[str, str, int, Dict]):
         return sweep_point((params["processors"], params["protocol"],
                             params["generation"], seed,
                             params["warmup"], params["measure"]))
-    if kind == "bench":
-        from repro.observatory.runner import bench_trial
+    if kind in SCENARIO_KINDS:
+        from repro.observatory.runner import scenario_trial
 
-        record = bench_trial((params["scenario"], params["quick"], seed))
-        return {"seed": record["seed"], "cycles": record["cycles"],
-                "metrics": record["metrics"]}
-    if kind == "chaos":
-        from repro.observatory.runner import chaos_scenario
-
-        outcome = chaos_scenario((params["scenario"], params["quick"],
-                                  seed))
-        return outcome.to_dict()
-    if kind == "serve":
-        from repro.observatory.runner import serve_scenario
-
-        outcome = serve_scenario((params["scenario"], params["quick"],
-                                  seed))
-        return outcome.to_dict()
+        result, _wall = scenario_trial((kind, params["scenario"],
+                                        params["quick"], seed))
+        if kind == "bench":
+            cycles, metrics = result
+            return {"seed": seed, "cycles": cycles, "metrics": metrics}
+        return result.to_dict()
     if kind == "vector":
         from repro.trace.vectorized import run_vectorized
 

@@ -61,13 +61,16 @@ CAMPAIGN_SCHEMA = "firefly-campaign/1"
 #: The trial kinds a matrix group may declare.
 TRIAL_KINDS = ("sweep", "bench", "chaos", "serve", "vector", "probe")
 
+#: The kinds whose trials are pinned named scenarios
+#: (:func:`repro.observatory.runner.select_scenarios`).
+SCENARIO_KINDS = ("bench", "chaos", "serve")
+
 _COMMON_KEYS = {"kind", "seeds", "exclude"}
 _GROUP_KEYS = {
     "sweep": _COMMON_KEYS | {"processors", "protocol", "generation",
                              "warmup", "measure"},
-    "bench": _COMMON_KEYS | {"scenarios", "quick"},
-    "chaos": _COMMON_KEYS | {"scenarios", "quick"},
-    "serve": _COMMON_KEYS | {"scenarios", "quick"},
+    **{kind: _COMMON_KEYS | {"scenarios", "quick"}
+       for kind in SCENARIO_KINDS},
     "vector": _COMMON_KEYS | {"processors", "instructions", "backend"},
     "probe": _COMMON_KEYS | {"name", "offset", "fail_env", "spin"},
 }
@@ -254,10 +257,12 @@ def _validate_group(group, where: str) -> Dict:
     if "seeds" in group:
         validated["seeds"] = _validate_seeds(group["seeds"],
                                              f"{where}: seeds")
-    validator = {"sweep": _validate_sweep, "bench": _validate_bench,
-                 "chaos": _validate_chaos, "serve": _validate_serve,
-                 "vector": _validate_vector, "probe": _validate_probe}[kind]
-    validated.update(validator(group, where))
+    if kind in SCENARIO_KINDS:
+        validated.update(_validate_scenarios(group, where, kind))
+    else:
+        validator = {"sweep": _validate_sweep, "vector": _validate_vector,
+                     "probe": _validate_probe}[kind]
+        validated.update(validator(group, where))
     validated["exclude"] = _validate_exclude(group.get("exclude", []),
                                              validated, where)
     return validated
@@ -300,23 +305,19 @@ def _validate_sweep(group: Dict, where: str) -> Dict:
             "measure": measure}
 
 
-def _validate_scenarios(group: Dict, where: str, names: List[str]) -> Dict:
+def _validate_scenarios(group: Dict, where: str, kind: str) -> Dict:
+    from repro.observatory.runner import select_scenarios
+
+    names = [scenario.name for scenario in select_scenarios(kind)]
     scenarios = [str(s) for s in _as_list(group.get("scenarios", names))]
-    unknown = sorted(set(scenarios) - set(names))
-    if unknown:
-        raise ConfigurationError(
-            f"{where}: unknown scenario(s) {', '.join(unknown)}; "
-            f"pinned: {', '.join(names)}")
+    try:
+        select_scenarios(kind, scenarios)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
     quick = group.get("quick", True)
     if not isinstance(quick, bool):
         raise ConfigurationError(f"{where}: quick must be a boolean")
     return {"scenarios": scenarios, "quick": quick}
-
-
-def _validate_bench(group: Dict, where: str) -> Dict:
-    from repro.observatory.bench import scenario_names
-
-    return _validate_scenarios(group, where, scenario_names())
 
 
 def _validate_vector(group: Dict, where: str) -> Dict:
@@ -340,18 +341,6 @@ def _validate_vector(group: Dict, where: str) -> Dict:
                 f"got {backend!r}")
         validated["backend"] = backend
     return validated
-
-
-def _validate_chaos(group: Dict, where: str) -> Dict:
-    from repro.faults.chaos import chaos_scenario_names
-
-    return _validate_scenarios(group, where, chaos_scenario_names())
-
-
-def _validate_serve(group: Dict, where: str) -> Dict:
-    from repro.serving.engine import serve_scenario_names
-
-    return _validate_scenarios(group, where, serve_scenario_names())
 
 
 def _validate_probe(group: Dict, where: str) -> Dict:
@@ -401,9 +390,9 @@ def _validate_exclude(value, validated: Dict, where: str) -> List[Dict]:
 
 def _axis_names(group: Dict) -> List[str]:
     """The parameter names that expand for this group, seeds excluded."""
-    return {"sweep": ["processors", "protocol"],
-            "bench": ["scenarios"], "chaos": ["scenarios"],
-            "serve": ["scenarios"], "vector": ["processors"],
+    if group["kind"] in SCENARIO_KINDS:
+        return ["scenarios"]
+    return {"sweep": ["processors", "protocol"], "vector": ["processors"],
             "probe": []}[group["kind"]]
 
 
@@ -436,7 +425,7 @@ def _expand_group(group: Dict, default_seeds: Sequence[int]
                     label = (f"sweep/np{processors}/{protocol}/"
                              f"{group['generation']}/s{seed}")
                     out.append((label, seed, params))
-    elif kind in ("bench", "chaos", "serve"):
+    elif kind in SCENARIO_KINDS:
         mode = "quick" if group["quick"] else "full"
         for scenario in group["scenarios"]:
             for seed in seeds:

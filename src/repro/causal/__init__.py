@@ -21,7 +21,7 @@ from repro.causal.context import ContextAllocator, TraceContext
 from repro.causal.crash import CRASH_SCHEMA, capture_crash, find_cycle
 from repro.causal.postmortem import (PINNED_DEADLOCK_SEED, extract_crash,
                                      render_crash_report, report_digest,
-                                     run_pinned_deadlock)
+                                     run_pinned_deadlock, validate_crash)
 from repro.causal.recorder import (DEFAULT_CAPACITY, LOW_RATE_CATEGORIES,
                                    FlightRecorder)
 
@@ -44,4 +44,5 @@ __all__ = [
     "report_digest",
     "run_pinned_deadlock",
     "trace_requests",
+    "validate_crash",
 ]

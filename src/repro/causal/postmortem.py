@@ -5,7 +5,10 @@ Two halves:
 - :func:`render_crash_report` turns a ``firefly-crash/1`` dict into
   the text the ``firefly-sim postmortem`` subcommand prints — the
   error, the wait-for cycle (resource + holder + waiters), per-CPU run
-  state, the in-flight bus op and the recent causal timeline.
+  state, the in-flight bus op and the recent causal timeline.  It
+  first runs :func:`validate_crash`, so a damaged report from a file
+  fails with a :class:`ConfigurationError` naming the bad field's path
+  (``wait_for/cycle/0/waiter``), never a traceback.
 - :func:`run_pinned_deadlock` builds a deliberately deadlocking
   two-thread program (classic AB/BA lock order) on a 2-CPU kernel with
   a flight recorder attached, runs it until the kernel's deadlock
@@ -20,8 +23,9 @@ import hashlib
 import json
 from typing import Any, Dict, Optional
 
-from repro.common.errors import DeadlockError, SimulationError
-from repro.causal.crash import capture_crash
+from repro.common.errors import (ConfigurationError, DeadlockError,
+                                 SimulationError)
+from repro.causal.crash import CRASH_SCHEMA, capture_crash
 from repro.causal.recorder import FlightRecorder
 
 PINNED_DEADLOCK_SEED = 1987
@@ -82,17 +86,92 @@ def extract_crash(document: Dict[str, Any]) -> Optional[Dict[str, Any]]:
     """
     if not isinstance(document, dict):
         return None
-    if document.get("schema") == "firefly-crash/1":
+    if document.get("schema") == CRASH_SCHEMA:
         return document
-    for scenario in document.get("scenarios", ()):
+    scenarios = document.get("scenarios")
+    for scenario in scenarios if isinstance(scenarios, list) else ():
         crash = scenario.get("crash") if isinstance(scenario, dict) else None
         if crash:
             return crash
     return None
 
 
+_NULL = type(None)
+_EDGE = {"waiter": (str,), "resource": (str,), "holder?": (str,)}
+
+#: Every field :func:`render_crash_report` reads.  A dict is an object
+#: with these keys (``?`` marks one that may be absent or null), a
+#: one-element list is a list of that rule, a tuple the scalar types.
+_CRASH_FIELDS = {
+    "time": (int, _NULL),
+    "error": {"type": (str,), "message": (str,)},
+    "wait_for": {"edges": [_EDGE],
+                 "cycle": [dict(_EDGE, holder=(str,))]},
+    "cpus?": [{"cpu": (int,), "running?": (str,),
+               "queued_kernel_bundles?": (int,)}],
+    "ready_queue?": [(str,)],
+    "bus?": {"in_flight?": (str,), "queue_depth?": (int,)},
+    "caches?": [{"cache": (int,), "valid_lines": (int,),
+                 "dirty_fraction": (int, float)}],
+    "recent_events?": [{"time": (int,), "name": (str,), "track": (str,),
+                        "args?": {}}],
+    "recorder?": {"recorded": (int,), "kept": (int,), "dropped": (int,)},
+}
+
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string", list: "a list", dict: "an object",
+               _NULL: "null"}
+
+
+def _check(value: Any, rule, where: str) -> None:
+    """Type first, then value: ``bool`` is never a number, numbers are
+    never negative.  Errors name the path from the report root."""
+    kinds = (dict,) if isinstance(rule, dict) else \
+        (list,) if isinstance(rule, list) else rule
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigurationError(
+            f"crash report: {where} must be "
+            f"{' or '.join(_TYPE_NAMES[kind] for kind in kinds)}, got "
+            f"{_TYPE_NAMES.get(type(value), type(value).__name__)}")
+    if isinstance(value, (int, float)) and value < 0:
+        raise ConfigurationError(
+            f"crash report: {where} is {value}, must be >= 0")
+    if isinstance(rule, list):
+        for index, item in enumerate(value):
+            _check(item, rule[0], f"{where}/{index}")
+    elif isinstance(rule, dict):
+        for key, child in rule.items():
+            name = key.rstrip("?")
+            path = f"{where}/{name}" if where else name
+            if key.endswith("?") and value.get(name) is None:
+                continue
+            if name not in value:
+                raise ConfigurationError(f"crash report: {path} is missing")
+            _check(value[name], child, path)
+
+
+def validate_crash(report: Any) -> Dict[str, Any]:
+    """Check every field :func:`render_crash_report` reads; returns it.
+
+    Raises :class:`ConfigurationError` naming the first bad field's
+    path (``wait_for/cycle/0/waiter``), so a hand-edited or truncated
+    crash JSON fails with a message, not an ``AttributeError``.
+    """
+    if not isinstance(report, dict):
+        raise ConfigurationError(
+            f"crash report must be an object, got "
+            f"{_TYPE_NAMES.get(type(report), type(report).__name__)}")
+    if report.get("schema") != CRASH_SCHEMA:
+        raise ConfigurationError(
+            f"crash report: schema is {report.get('schema')!r}, expected "
+            f"{CRASH_SCHEMA!r}")
+    _check(report, _CRASH_FIELDS, "")
+    return report
+
+
 def render_crash_report(report: Dict[str, Any]) -> str:
-    """The human-readable postmortem of one crash report."""
+    """The human-readable postmortem of one (validated) crash report."""
+    validate_crash(report)
     lines = []
     error = report.get("error", {})
     lines.append(f"postmortem ({report.get('schema', '?')}) "
@@ -144,7 +223,7 @@ def render_crash_report(report: Dict[str, Any]) -> str:
         lines.append("")
         lines.append(f"causal timeline (last {len(recent)} events):")
         for event in recent[-16:]:
-            args = event.get("args", {})
+            args = event.get("args") or {}
             detail = " ".join(f"{k}={v}" for k, v in sorted(args.items())
                               if k in ("thread", "reason", "cause", "tid",
                                        "span", "op", "initiator"))

@@ -115,11 +115,14 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from repro.analytic.queueing import AnalyticParameters, FireflyAnalyticModel
 from repro.cache.protocols import available_protocols
+from repro.common.errors import ConfigurationError
 from repro.reporting import Column, TextTable, render_state_diagram, \
     render_system_diagram
 from repro.system import (
@@ -277,52 +280,18 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(default 0.2; widened by trial noise)")
     bench.add_argument("--skip-overhead", action="store_true",
                        help="skip the disabled-tracing overhead guard")
-    bench.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for (scenario x trial) "
-                            "fan-out; simulated results are identical "
-                            "at any job count (default 1)")
+    _add_jobs_arg(bench)
 
-    chaos = sub.add_parser(
-        "chaos", help="run the seeded fault-injection campaigns")
-    chaos.add_argument("--seed", type=int, default=1987,
-                       help="fault-schedule seed (default 1987); the "
-                            "same seed reproduces the same timeline")
-    chaos.add_argument("--quick", action="store_true",
-                       help="short horizons (CI smoke mode)")
-    chaos.add_argument("--scenario", action="append", default=None,
-                       metavar="NAME",
-                       help="run only this scenario (repeatable)")
-    chaos.add_argument("--list", action="store_true",
-                       help="list the pinned scenarios and exit")
-    chaos.add_argument("--json", metavar="PATH", default=None,
-                       help="also write the campaign report as JSON")
-    chaos.add_argument("--force", action="store_true",
-                       help="overwrite an existing --json file")
-    chaos.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for scenario fan-out; the "
-                            "report is byte-identical at any job count "
-                            "(default 1)")
-
-    serve = sub.add_parser(
-        "serve", help="run the resilient-serving SLO campaigns")
-    serve.add_argument("--seed", type=int, default=1987,
-                       help="workload seed (default 1987); the same "
-                            "seed reproduces the same arrival timeline")
-    serve.add_argument("--quick", action="store_true",
-                       help="short horizons (CI smoke mode)")
-    serve.add_argument("--scenario", action="append", default=None,
-                       metavar="NAME",
-                       help="run only this scenario (repeatable)")
-    serve.add_argument("--list", action="store_true",
-                       help="list the pinned scenarios and exit")
-    serve.add_argument("--json", metavar="PATH", default=None,
-                       help="also write the serve report as JSON")
-    serve.add_argument("--force", action="store_true",
-                       help="overwrite an existing --json file")
-    serve.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for scenario fan-out; the "
-                            "report is byte-identical at any job count "
-                            "(default 1)")
+    _add_scenario_args(
+        sub.add_parser("chaos",
+                       help="run the seeded fault-injection campaigns"),
+        "fault-schedule seed (default 1987); the same seed reproduces "
+        "the same timeline")
+    _add_scenario_args(
+        sub.add_parser("serve",
+                       help="run the resilient-serving SLO campaigns"),
+        "workload seed (default 1987); the same seed reproduces the same "
+        "arrival timeline")
 
     sweep = sub.add_parser(
         "sweep", help="run a (processors x seed) metric sweep")
@@ -345,8 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(sorted keys; byte-identical at any --jobs)")
     sweep.add_argument("--force", action="store_true",
                        help="overwrite an existing --json file")
-    sweep.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for grid fan-out (default 1)")
+    _add_jobs_arg(sweep)
 
     campaign = sub.add_parser(
         "campaign", help="declarative sweep campaigns with a "
@@ -370,9 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "from an empty ledger")):
         runp = campaign_sub.add_parser(verb, help=blurb)
         _campaign_common(runp)
-        runp.add_argument("--jobs", type=int, default=1,
-                          help="worker processes for trial fan-out "
-                               "(default 1)")
+        _add_jobs_arg(runp)
         runp.add_argument("--report", metavar="PATH", default=None,
                           help="write the merged campaign report as "
                                "JSON (byte-identical for identical "
@@ -403,6 +369,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _job_count(text: str) -> int:
+    """argparse type of ``--jobs``: an integer of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
+def _add_jobs_arg(sub_parser) -> None:
+    sub_parser.add_argument("--jobs", type=_job_count, default=1,
+                            help="worker processes for the trial fan-out; "
+                                 "simulated results are identical at any "
+                                 "job count (default 1)")
+
+
+def _add_scenario_args(sub_parser, seed_help: str) -> None:
+    """The options shared by the named-scenario commands (chaos, serve)."""
+    sub_parser.add_argument("--seed", type=int, default=1987,
+                            help=seed_help)
+    sub_parser.add_argument("--quick", action="store_true",
+                            help="short horizons (CI smoke mode)")
+    sub_parser.add_argument("--scenario", action="append", default=None,
+                            metavar="NAME",
+                            help="run only this scenario (repeatable)")
+    sub_parser.add_argument("--list", action="store_true",
+                            help="list the pinned scenarios and exit")
+    sub_parser.add_argument("--json", metavar="PATH", default=None,
+                            help="also write the report as JSON")
+    sub_parser.add_argument("--force", action="store_true",
+                            help="overwrite an existing --json file")
+    _add_jobs_arg(sub_parser)
+
+
 def _add_telemetry_args(sub_parser) -> None:
     sub_parser.add_argument(
         "--telemetry-out", metavar="PATH", default=None,
@@ -425,6 +428,13 @@ def _add_telemetry_args(sub_parser) -> None:
              "measured rates; print the residual report")
 
 
+def _write_json(path_str, document) -> None:
+    """Sorted keys, two-space indent: the byte-stable form of every
+    JSON artifact the commands write."""
+    Path(path_str).write_text(
+        json.dumps(document, indent=2, sort_keys=True) + "\n")
+
+
 def _guard_output(path_str, force: bool, flag: str) -> None:
     """Refuse to overwrite an existing output file without ``--force``.
 
@@ -433,9 +443,6 @@ def _guard_output(path_str, force: bool, flag: str) -> None:
     ``--telemetry-out``, sweep/chaos ``--json`` and the campaign
     report/dashboard outputs.
     """
-    from pathlib import Path
-
-    from repro.common.errors import ConfigurationError
     if path_str is not None and Path(path_str).exists() and not force:
         raise ConfigurationError(
             f"{flag} {path_str} already exists; pass --force to "
@@ -583,9 +590,6 @@ def _counterexample_dict(counterexample) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    import json
-    from pathlib import Path
-
     from repro.cache.protocols import PROTOCOL_DEFINITIONS
     from repro.verify import check_guards, lint_paths, verify_protocol
 
@@ -656,8 +660,7 @@ def _cmd_verify(args) -> int:
 
     document["ok"] = failures == 0
     if args.json is not None:
-        Path(args.json).write_text(
-            json.dumps(document, indent=2, sort_keys=True) + "\n")
+        _write_json(args.json, document)
         print(f"verify: wrote {args.json}")
 
     if failures:
@@ -701,12 +704,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_postmortem(args) -> int:
-    import json
-    from pathlib import Path
-
     from repro.causal import (PINNED_DEADLOCK_SEED, extract_crash,
                               render_crash_report, run_pinned_deadlock)
-    from repro.common.errors import ConfigurationError
 
     _guard_output(args.json, args.force, "--json")
     if args.scenario == "deadlock":
@@ -723,19 +722,14 @@ def _cmd_postmortem(args) -> int:
     else:
         raise ConfigurationError(
             "pass a crash JSON path or --scenario deadlock")
-    if args.json is not None:
-        Path(args.json).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(render_crash_report(report))
     if args.json is not None:
+        _write_json(args.json, report)
         print(f"postmortem: wrote {args.json}")
     return 0
 
 
 def _cmd_bench(args) -> int:
-    from pathlib import Path
-
-    from repro.common.errors import ConfigurationError
     from repro.observatory import (bench_files, compare_bench, load_bench,
                                    run_suite, write_bench)
 
@@ -798,48 +792,31 @@ def _cmd_bench(args) -> int:
     return 1 if overhead_failed else 0
 
 
-def _cmd_chaos(args) -> int:
-    from repro.faults import CHAOS_SCENARIOS, run_campaign
+def _cmd_scenarios(args) -> int:
+    """``chaos`` and ``serve``: run named scenarios, render the report."""
+    from repro.observatory.runner import select_scenarios
 
     if args.list:
-        for scenario in CHAOS_SCENARIOS:
-            print(f"{scenario.name:<16} {scenario.description}")
+        pinned = select_scenarios(args.command)
+        width = max(len(scenario.name) for scenario in pinned) + 2
+        for scenario in pinned:
+            print(f"{scenario.name:<{width}} {scenario.description}")
         return 0
     _guard_output(args.json, args.force, "--json")
-    report = run_campaign(seed=args.seed, quick=args.quick,
-                          scenarios=args.scenario, jobs=args.jobs)
+    if args.command == "chaos":
+        from repro.faults import run_campaign as run
+    else:
+        from repro.serving import run_serve_campaign as run
+    report = run(seed=args.seed, quick=args.quick, scenarios=args.scenario,
+                 jobs=args.jobs)
     print(report.render())
     if args.json is not None:
-        import json
-        from pathlib import Path
-        Path(args.json).write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-        print(f"chaos: wrote {args.json}")
-    return 0 if report.ok else 1
-
-
-def _cmd_serve(args) -> int:
-    from repro.serving import SERVE_SCENARIOS, run_serve_campaign
-
-    if args.list:
-        for scenario in SERVE_SCENARIOS:
-            print(f"{scenario.name:<20} {scenario.description}")
-        return 0
-    _guard_output(args.json, args.force, "--json")
-    report = run_serve_campaign(seed=args.seed, quick=args.quick,
-                                scenarios=args.scenario, jobs=args.jobs)
-    print(report.render())
-    if args.json is not None:
-        import json
-        from pathlib import Path
-        Path(args.json).write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-        print(f"serve: wrote {args.json}")
+        _write_json(args.json, report.to_dict())
+        print(f"{args.command}: wrote {args.json}")
     return 0 if report.ok else 1
 
 
 def _parse_int_list(text: str, flag: str) -> List[int]:
-    from repro.common.errors import ConfigurationError
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
@@ -851,8 +828,6 @@ def _parse_int_list(text: str, flag: str) -> List[int]:
 
 
 def _cmd_sweep(args) -> int:
-    import json
-
     from repro.observatory.runner import (SWEEP_MEASURE, SWEEP_WARMUP,
                                           run_sweep)
 
@@ -875,17 +850,12 @@ def _cmd_sweep(args) -> int:
                       point["mean_miss_rate"])
     print(table.render())
     if args.json is not None:
-        from pathlib import Path
-        Path(args.json).write_text(
-            json.dumps(document, indent=2, sort_keys=True) + "\n")
+        _write_json(args.json, document)
         print(f"sweep: wrote {args.json}")
     return 0
 
 
 def _cmd_campaign(args) -> int:
-    import json
-    from pathlib import Path
-
     from repro.campaign import CampaignStore, load_spec
 
     store = CampaignStore(args.store_dir)
@@ -902,8 +872,7 @@ def _cmd_campaign(args) -> int:
         print(f"campaign {spec.name}: {run.total} trial(s) merged "
               f"({run.ran} ran, {run.skipped} skipped via ledger)")
         if args.report is not None:
-            Path(args.report).write_text(
-                json.dumps(run.report, indent=2, sort_keys=True) + "\n")
+            _write_json(args.report, run.report)
             print(f"campaign: wrote {args.report}")
         if args.print_golden:
             print()
@@ -955,8 +924,8 @@ _COMMANDS = {
     "postmortem": _cmd_postmortem,
     "verify": _cmd_verify,
     "bench": _cmd_bench,
-    "chaos": _cmd_chaos,
-    "serve": _cmd_serve,
+    "chaos": _cmd_scenarios,
+    "serve": _cmd_scenarios,
     "sweep": _cmd_sweep,
     "campaign": _cmd_campaign,
 }

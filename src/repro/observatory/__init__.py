@@ -26,9 +26,7 @@ from repro.observatory.bench import (
     load_bench,
     measure_overhead,
     next_bench_path,
-    run_scenario,
     run_suite,
-    scenario_names,
     validate_bench,
     write_bench,
 )
@@ -41,9 +39,12 @@ from repro.observatory.divergence import (
 )
 from repro.observatory.runner import (
     SWEEP_SCHEMA,
+    Horizon,
+    Scenario,
     TrialFailure,
     run_ordered,
     run_sweep,
+    select_scenarios,
 )
 from repro.observatory.spans import (
     BusSpan,
@@ -63,8 +64,10 @@ __all__ = [
     "DivergenceMonitor",
     "DivergenceReport",
     "DivergenceSample",
+    "Horizon",
     "MetricVerdict",
     "SWEEP_SCHEMA",
+    "Scenario",
     "ScenarioDelta",
     "SpanTracer",
     "TrialFailure",
@@ -74,10 +77,9 @@ __all__ = [
     "measure_overhead",
     "next_bench_path",
     "run_ordered",
-    "run_scenario",
     "run_suite",
     "run_sweep",
-    "scenario_names",
+    "select_scenarios",
     "trace_spans",
     "validate_bench",
     "write_bench",

@@ -15,8 +15,9 @@ against a plain baseline, verifying that *disabled* span tracing stays
 within a small wall-clock budget (the ``probe.active`` dead-branch
 contract of :mod:`repro.telemetry`).
 
-Wall-clock timing is deliberate here and nowhere else in the package;
-the simulation-safety linter exempts the marked lines.
+Wall-clock timing is deliberate here (through
+:func:`repro.observatory.runner.host_seconds`, the one clock read the
+simulation-safety linter exempts) and nowhere else in the package.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from __future__ import annotations
 import json
 import platform
 import re
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from statistics import median
 from typing import Callable, Dict, List, Optional, Tuple
@@ -35,6 +35,9 @@ from repro.common.errors import ConfigurationError
 from repro.common.events import Simulator
 from repro.common.provenance import provenance_stamp
 from repro.common.rng import RandomStream
+from repro.observatory.runner import (Horizon, Scenario, describe_trial,
+                                      host_seconds, run_ordered,
+                                      scenario_trial, select_scenarios)
 from repro.system import FireflyConfig, FireflyMachine
 from repro.telemetry.probe import NULL_PROBE, TelemetryHub
 from repro.telemetry.instrument import attach_kernel
@@ -58,43 +61,8 @@ RECORDER_BUDGET = 0.02
 DEFAULT_THRESHOLD = 0.20
 
 
-def _now() -> float:
-    return time.perf_counter()  # lint: allow(V102)
-
-
 # ---------------------------------------------------------------------------
 # pinned scenarios
-
-
-@dataclass(frozen=True)
-class Horizon:
-    """Warm-up and measurement cycles for one scenario run."""
-
-    warmup: int
-    measure: int
-
-    @property
-    def total(self) -> int:
-        return self.warmup + self.measure
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One pinned benchmark scenario.
-
-    ``runner(horizon, seed)`` performs the simulation and returns
-    ``(simulated_cycles, metrics)`` where metrics is a flat dict of
-    JSON-safe simulated measurements.
-    """
-
-    name: str
-    description: str
-    full: Horizon
-    quick: Horizon
-    runner: Callable[["Scenario", Horizon, int], Tuple[int, Dict]]
-
-    def horizon(self, quick: bool) -> Horizon:
-        return self.quick if quick else self.full
 
 
 def _run_exerciser(processors: int, threads: int, horizon: Horizon,
@@ -353,81 +321,8 @@ SCENARIOS: Tuple[Scenario, ...] = (
 )
 
 
-def scenario_names() -> List[str]:
-    return [scenario.name for scenario in SCENARIOS]
-
-
 # ---------------------------------------------------------------------------
 # running the suite
-
-
-@dataclass(frozen=True)
-class Trial:
-    """One timed run of one scenario."""
-
-    seed: int
-    cycles: int
-    wall_seconds: float
-    ticks_per_second: float
-
-    def to_dict(self) -> Dict:
-        return {"seed": self.seed, "cycles": self.cycles,
-                "wall_seconds": self.wall_seconds,
-                "ticks_per_second": self.ticks_per_second}
-
-
-@dataclass
-class ScenarioResult:
-    """All trials of one scenario plus the canonical-seed metrics."""
-
-    scenario: Scenario
-    trials: List[Trial] = field(default_factory=list)
-    metrics: Dict = field(default_factory=dict)
-
-    @property
-    def median_ticks_per_second(self) -> float:
-        return median(t.ticks_per_second for t in self.trials)
-
-    @property
-    def noise(self) -> float:
-        """Trial spread: (max - min) / median of ticks/sec."""
-        rates = [t.ticks_per_second for t in self.trials]
-        mid = median(rates)
-        if mid == 0:
-            return 0.0
-        return (max(rates) - min(rates)) / mid
-
-    def to_dict(self) -> Dict:
-        return {
-            "description": self.scenario.description,
-            "trials": [t.to_dict() for t in self.trials],
-            "median_ticks_per_second": self.median_ticks_per_second,
-            "noise": self.noise,
-            "metrics": self.metrics,
-        }
-
-
-def run_scenario(scenario: Scenario, quick: bool = False,
-                 trials: Optional[int] = None,
-                 progress: Optional[Callable[[str], None]] = None
-                 ) -> ScenarioResult:
-    """Run one scenario's seeded trials; metrics come from trial 0."""
-    count = _trial_count(quick, trials)
-    horizon = scenario.horizon(quick)
-    result = ScenarioResult(scenario)
-    for index in range(count):
-        seed = TRIAL_SEEDS[index]
-        start = _now()
-        cycles, metrics = scenario.runner(scenario, horizon, seed)
-        elapsed = _now() - start
-        ticks = cycles / elapsed if elapsed > 0 else 0.0
-        result.trials.append(Trial(seed, cycles, elapsed, ticks))
-        if index == 0:
-            result.metrics = metrics
-        if progress is not None:
-            progress(f"  {scenario.name} trial {index + 1}/{count}: "
-                     f"{ticks / 1e3:.0f}K ticks/s")
-    return result
 
 
 # -- disabled-tracing overhead guard ----------------------------------------
@@ -453,9 +348,9 @@ def _overhead_run(attach: bool, horizon: Horizon, seed: int) -> float:
             cache.probe = NULL_PROBE
         if machine.qbus is not None:
             machine.qbus.probe = NULL_PROBE
-    start = _now()
+    start = host_seconds()
     kernel.run(warmup_cycles=horizon.warmup, measure_cycles=horizon.measure)
-    return _now() - start
+    return host_seconds() - start
 
 
 def _recorder_run(horizon: Horizon, seed: int) -> float:
@@ -469,9 +364,9 @@ def _recorder_run(horizon: Horizon, seed: int) -> float:
 
     kernel = build_exerciser(2, ExerciserParams(threads=8), seed=seed)
     recorder = FlightRecorder(kernel)
-    start = _now()
+    start = host_seconds()
     kernel.run(warmup_cycles=horizon.warmup, measure_cycles=horizon.measure)
-    elapsed = _now() - start
+    elapsed = host_seconds() - start
     recorder.detach()
     return elapsed
 
@@ -521,55 +416,6 @@ def measure_overhead(quick: bool = False,
 # BENCH files
 
 
-def _trial_count(quick: bool, trials: Optional[int]) -> int:
-    count = trials if trials is not None else (2 if quick else 3)
-    if count < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {count}")
-    if count > len(TRIAL_SEEDS):
-        raise ConfigurationError(
-            f"at most {len(TRIAL_SEEDS)} trials are pinned, got {count}")
-    return count
-
-
-def _run_suite_parallel(selected: List[Scenario], quick: bool, count: int,
-                        jobs: int,
-                        progress: Optional[Callable[[str], None]]
-                        ) -> Dict[str, Dict]:
-    """All (scenario x trial) cells fanned out across worker processes.
-
-    Every trial rebuilds its world from its seed inside the worker, so
-    the simulated fields of the result are identical to the serial
-    path's; only the wall-clock measurements differ (they describe the
-    host, and a loaded host at ``jobs=N`` is a different host).
-    Results are merged back in (scenario, trial) order.
-    """
-    from repro.observatory.runner import (bench_trial, describe_bench_spec,
-                                          run_ordered)
-
-    specs = [(scenario.name, quick, TRIAL_SEEDS[index])
-             for scenario in selected for index in range(count)]
-    records = run_ordered(specs, bench_trial, jobs=jobs,
-                          describe=describe_bench_spec)
-    entries: Dict[str, Dict] = {}
-    cursor = 0
-    for scenario in selected:
-        result = ScenarioResult(scenario)
-        for index in range(count):
-            record = records[cursor]
-            cursor += 1
-            result.trials.append(Trial(
-                record["seed"], record["cycles"], record["wall_seconds"],
-                record["ticks_per_second"]))
-            if index == 0:
-                result.metrics = record["metrics"]
-        if progress is not None:
-            progress(f"  {scenario.name}: "
-                     f"{result.median_ticks_per_second / 1e3:.0f}K ticks/s "
-                     f"median over {count} trial(s)")
-        entries[scenario.name] = result.to_dict()
-    return entries
-
-
 def run_suite(quick: bool = False, trials: Optional[int] = None,
               scenarios: Optional[List[str]] = None,
               skip_overhead: bool = False,
@@ -577,19 +423,19 @@ def run_suite(quick: bool = False, trials: Optional[int] = None,
               progress: Optional[Callable[[str], None]] = None) -> Dict:
     """Run the pinned suite and return the BENCH document.
 
-    ``jobs > 1`` fans the (scenario x trial) grid out over worker
-    processes via :mod:`repro.observatory.runner`; the simulated
-    content of the document is identical at any job count.
+    The (scenario x trial) grid goes through
+    :func:`repro.observatory.runner.run_ordered`, in-process at
+    ``jobs=1`` and over worker processes above it; the simulated
+    content of the document is identical at any job count.  Metrics
+    come from each scenario's first trial.
     """
-    selected = list(SCENARIOS)
-    if scenarios:
-        by_name = {s.name: s for s in SCENARIOS}
-        unknown = sorted(set(scenarios) - set(by_name))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown scenario(s) {', '.join(unknown)}; "
-                f"pinned: {', '.join(scenario_names())}")
-        selected = [by_name[name] for name in scenarios]
+    selected = select_scenarios("bench", scenarios or None)
+    count = trials if trials is not None else (2 if quick else 3)
+    if count < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {count}")
+    if count > len(TRIAL_SEEDS):
+        raise ConfigurationError(
+            f"at most {len(TRIAL_SEEDS)} trials are pinned, got {count}")
     document: Dict = {
         "schema": BENCH_SCHEMA,
         "mode": "quick" if quick else "full",
@@ -611,17 +457,33 @@ def run_suite(quick: bool = False, trials: Optional[int] = None,
         "scenarios": {},
         "overhead": None,
     }
-    if jobs is not None and jobs > 1:
-        count = _trial_count(quick, trials)
-        document["scenarios"] = _run_suite_parallel(
-            selected, quick, count, jobs, progress)
-    else:
-        for scenario in selected:
-            if progress is not None:
-                progress(f"{scenario.name}: {scenario.description}")
-            result = run_scenario(scenario, quick=quick, trials=trials,
-                                  progress=progress)
-            document["scenarios"][scenario.name] = result.to_dict()
+
+    def report(spec, record) -> None:
+        (cycles, _metrics), elapsed = record
+        progress(f"  {spec[1]} seed {spec[3]}: {cycles} cycles in "
+                 f"{elapsed:.2f} s")
+
+    specs = [("bench", scenario.name, quick, TRIAL_SEEDS[index])
+             for scenario in selected for index in range(count)]
+    records = iter(run_ordered(
+        specs, scenario_trial, jobs=jobs, describe=describe_trial,
+        on_result=report if progress is not None else None))
+    for scenario in selected:
+        entry: Dict = {"description": scenario.description, "trials": []}
+        for index in range(count):
+            (cycles, metrics), elapsed = next(records)
+            entry["trials"].append({
+                "seed": TRIAL_SEEDS[index], "cycles": cycles,
+                "wall_seconds": elapsed,
+                "ticks_per_second": cycles / elapsed if elapsed > 0 else 0.0})
+            if index == 0:
+                entry["metrics"] = metrics
+        rates = [trial["ticks_per_second"] for trial in entry["trials"]]
+        mid = median(rates)
+        entry["median_ticks_per_second"] = mid
+        # Trial spread: (max - min) / median of ticks/sec.
+        entry["noise"] = (max(rates) - min(rates)) / mid if mid else 0.0
+        document["scenarios"][scenario.name] = entry
     if not skip_overhead:
         if progress is not None:
             progress("overhead: disabled-tracing wall-clock guard")

@@ -1,6 +1,6 @@
-"""Deterministic parallel trial executor.
+"""Deterministic parallel trial executor and the one scenario harness.
 
-``firefly-sim bench``, ``firefly-sim chaos`` and ``firefly-sim sweep``
+``firefly-sim bench``, ``chaos``, ``serve``, ``sweep`` and ``campaign``
 all reduce to the same shape of work: an ordered list of *(scenario,
 seed)* trials, each of which builds its entire simulated world from its
 seed and returns plain data.  Trials share no mutable state — every
@@ -14,27 +14,37 @@ bit.  This module provides that fan-out:
   results **in spec order** regardless of completion order.  With the
   same specs, ``jobs=N`` and ``jobs=1`` produce identical result
   lists (wall-clock timing fields aside, which are measurements of the
-  host, not of the simulation).
-- worker functions for the three consumers (:func:`bench_trial`,
-  :func:`chaos_scenario`, :func:`sweep_point`), all module-level so
-  they pickle by reference.
+  host, not of the simulation).  Every harness calls it exactly once,
+  at any job count: there is no separate serial path.
+- :class:`Scenario` and :class:`Horizon`, the one type for a pinned
+  named scenario of the bench, chaos and serve harnesses, and
+  :func:`select_scenarios`, the one lookup by kind.  Each harness keeps
+  its tuple in its own module (see :data:`SCENARIO_REGISTRIES`); this
+  module imports none of them, so each can import the type eagerly.
+- :func:`scenario_trial` and :func:`sweep_point`, the two workers
+  (module-level, so they pickle by reference): one named scenario of
+  any kind at one seed, and one machine of the sweep grid.
 - :func:`run_sweep` — the ``firefly-sim sweep`` document builder: a
   (processor-count x seed) grid of machine runs with purely simulated
   metrics, byte-identical JSON at any job count.
 
-Failure contract: a trial that raises in a worker is reported as a
-single :class:`TrialFailure` naming the failing *(scenario, seed)* —
-the child's traceback is summarised, never dumped raw — and a worker
-process that dies outright (killed, segfault) surfaces the same way
-instead of hanging the parent.  Remaining queued trials are cancelled,
-and a ``KeyboardInterrupt`` in the parent terminates every worker
-process before re-raising — Ctrl-C never leaks simulating workers.
+Failure contract: a trial that raises is reported as a single
+:class:`TrialFailure` naming the failing trial — ``(kind/name, seed N)``
+for a named scenario — at any job count.  In a worker the child's
+traceback is summarised, never dumped raw, and a worker process that
+dies outright (killed, segfault) surfaces the same way instead of
+hanging the parent.  Remaining queued trials are cancelled, and a
+``KeyboardInterrupt`` in the parent terminates every worker process
+before re-raising — Ctrl-C never leaks simulating workers.
 """
 
 from __future__ import annotations
 
+import importlib
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
@@ -151,62 +161,101 @@ def run_ordered(specs: Sequence, worker: Callable, jobs: int = 1,
 
 
 # ---------------------------------------------------------------------------
-# workers (module-level: they pickle by reference into worker processes)
+# named scenarios: one type, one lookup, one worker
 
 
-def bench_trial(spec: Tuple[str, bool, int]) -> Dict:
-    """One seeded bench trial: ``(scenario_name, quick, seed)``.
+@dataclass(frozen=True)
+class Horizon:
+    """Warm-up and measurement cycles for one scenario run."""
 
-    Returns the trial record plus the simulated metrics; the caller
-    keeps metrics only for trial 0, matching the serial path.  Wall
-    time is measured inside the worker, exactly as the serial path
-    times the bare runner call.
+    warmup: int
+    measure: int
+
+    @property
+    def total(self) -> int:
+        return self.warmup + self.measure
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One pinned, named scenario of the bench, chaos or serve harness.
+
+    ``runner(scenario, horizon, seed)`` builds its whole world from
+    ``seed`` and returns plain data: ``(simulated_cycles, metrics)``
+    for bench, a :class:`~repro.faults.chaos.ScenarioOutcome` for
+    chaos, a :class:`~repro.serving.engine.ServeOutcome` for serve.
     """
-    from repro.observatory import bench
 
-    name, quick, seed = spec
-    scenario = next(s for s in bench.SCENARIOS if s.name == name)
-    horizon = scenario.horizon(quick)
-    start = bench._now()
-    cycles, metrics = scenario.runner(scenario, horizon, seed)
-    elapsed = bench._now() - start
-    return {
-        "seed": seed,
-        "cycles": cycles,
-        "wall_seconds": elapsed,
-        "ticks_per_second": cycles / elapsed if elapsed > 0 else 0.0,
-        "metrics": metrics,
-    }
+    name: str
+    description: str
+    full: Horizon
+    quick: Horizon
+    runner: Callable[["Scenario", Horizon, int], object]
+
+    def horizon(self, quick: bool) -> Horizon:
+        return self.quick if quick else self.full
 
 
-def chaos_scenario(spec: Tuple[str, bool, int]):
-    """One chaos scenario: ``(scenario_name, quick, seed)``.
+#: Where each harness keeps its pinned scenarios: (module, tuple name).
+#: Looked up at call time, so a test that swaps the module's tuple
+#: changes what every caller sees.
+SCENARIO_REGISTRIES: Dict[str, Tuple[str, str]] = {
+    "bench": ("repro.observatory.bench", "SCENARIOS"),
+    "chaos": ("repro.faults.chaos", "CHAOS_SCENARIOS"),
+    "serve": ("repro.serving.engine", "SERVE_SCENARIOS"),
+}
 
-    Returns the :class:`~repro.faults.chaos.ScenarioOutcome` — plain
-    dataclasses all the way down, so it crosses the process boundary
-    intact.  Imported lazily; :mod:`repro.faults.chaos` imports
-    observatory modules.
+
+def select_scenarios(kind: str,
+                     names: Optional[Sequence[str]] = None
+                     ) -> List[Scenario]:
+    """The pinned scenarios of harness ``kind`` named by ``names``.
+
+    ``names=None`` selects every pinned scenario, in pinned order;
+    otherwise the result follows ``names``, and any unknown name is a
+    :class:`ConfigurationError` listing the pinned ones.
     """
-    from repro.faults import chaos
+    module, attribute = SCENARIO_REGISTRIES[kind]
+    pinned = getattr(importlib.import_module(module), attribute)
+    if names is None:
+        return list(pinned)
+    by_name = {scenario.name: scenario for scenario in pinned}
+    unknown = sorted(set(names) - set(by_name))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {kind} scenario(s) {', '.join(unknown)}; "
+            f"pinned: {', '.join(scenario.name for scenario in pinned)}")
+    return [by_name[name] for name in names]
 
-    name, quick, seed = spec
-    scenario = next(s for s in chaos.CHAOS_SCENARIOS if s.name == name)
-    horizon = scenario.horizon(quick)
-    return scenario.runner(scenario, horizon, seed)
+
+def host_seconds() -> float:
+    """The host's clock, for throughput only — never fed to a model."""
+    return time.perf_counter()  # lint: allow(V102)
 
 
-def serve_scenario(spec: Tuple[str, bool, int]):
-    """One serving scenario: ``(scenario_name, quick, seed)``.
+def scenario_trial(spec: Tuple[str, str, bool, int]) -> Tuple[object, float]:
+    """One named scenario at one seed: ``(kind, name, quick, seed)``.
 
-    Returns the :class:`~repro.serving.engine.ServeOutcome` — plain
-    dataclasses and dicts, so it crosses the process boundary intact.
+    Returns ``(result, wall_seconds)``: whatever the scenario's runner
+    returned, and the host time of that call (bench turns it into
+    ticks/s; chaos and serve ignore it).  Module-level, so it pickles
+    by reference into worker processes.
     """
-    from repro.serving import engine
-
-    name, quick, seed = spec
-    scenario = next(s for s in engine.SERVE_SCENARIOS if s.name == name)
+    kind, name, quick, seed = spec
+    (scenario,) = select_scenarios(kind, [name])
     horizon = scenario.horizon(quick)
-    return scenario.runner(scenario, horizon, seed)
+    start = host_seconds()
+    result = scenario.runner(scenario, horizon, seed)
+    return result, host_seconds() - start
+
+
+def describe_trial(spec: Tuple[str, str, bool, int]) -> str:
+    kind, name, _quick, seed = spec
+    return f"({kind}/{name}, seed {seed})"
+
+
+# ---------------------------------------------------------------------------
+# the sweep grid
 
 
 def sweep_point(spec: Tuple[int, str, str, int, int, int]) -> Dict:
@@ -230,10 +279,6 @@ def sweep_point(spec: Tuple[int, str, str, int, int, int]) -> Dict:
         "mean_cpu_krate": metrics.mean_cpu_krate,
         "dirty_fraction": metrics.dirty_fraction,
     }
-
-
-# ---------------------------------------------------------------------------
-# the sweep document
 
 
 def run_sweep(processor_counts: Sequence[int], seeds: Sequence[int],
@@ -278,18 +323,3 @@ def run_sweep(processor_counts: Sequence[int], seeds: Sequence[int],
 def _describe_sweep_spec(spec) -> str:
     processors, protocol, _generation, seed, _warmup, _measure = spec
     return f"(sweep np={processors} protocol={protocol}, seed {seed})"
-
-
-def describe_bench_spec(spec) -> str:
-    name, _quick, seed = spec
-    return f"({name}, seed {seed})"
-
-
-def describe_chaos_spec(spec) -> str:
-    name, _quick, seed = spec
-    return f"({name}, seed {seed})"
-
-
-def describe_serve_spec(spec) -> str:
-    name, _quick, seed = spec
-    return f"({name}, seed {seed})"

@@ -10,14 +10,20 @@ and in docs/CAUSAL.md in the same commit.
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.causal import (PINNED_DEADLOCK_SEED, capture_crash,
                           extract_crash, find_cycle, render_crash_report,
-                          report_digest, run_pinned_deadlock)
+                          report_digest, run_pinned_deadlock,
+                          validate_crash)
 from repro.cli import main
+from repro.common.errors import ConfigurationError
 
 pytestmark = pytest.mark.causal
 
@@ -109,6 +115,77 @@ class TestCaptureAndExtract:
     def test_extract_missing_returns_none(self):
         assert extract_crash({"scenarios": [{"crash": None}]}) is None
         assert extract_crash({"unrelated": 1}) is None
+
+
+# ---------------------------------------------------------------------------
+# validating crash reports read from files
+
+
+@functools.lru_cache(maxsize=1)
+def _pinned_report_json() -> str:
+    return json.dumps(run_pinned_deadlock(), sort_keys=True)
+
+
+def _field_paths(value, prefix=()):
+    """Every key/index path in a JSON value (the root excluded)."""
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+_REMOVE = object()
+_PATHS = sorted(_field_paths(json.loads(_pinned_report_json())), key=str)
+
+
+class TestValidateCrash:
+    def test_pinned_report_is_valid(self):
+        report = run_pinned_deadlock()
+        assert validate_crash(report) is report
+
+    @settings(max_examples=300, deadline=None)
+    @given(path=st.sampled_from(_PATHS),
+           junk=st.sampled_from([None, [], {}, "x", 1, True, _REMOVE]))
+    def test_mutated_report_renders_or_names_the_path(self, path, junk):
+        """One field replaced by junk (or removed): the report either
+        still renders, or fails with a ConfigurationError whose message
+        names that field's path or a path below it — never another
+        exception type."""
+        report = json.loads(_pinned_report_json())
+        parent = report
+        for key in path[:-1]:
+            parent = parent[key]
+        if junk is _REMOVE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(junk)
+        try:
+            render_crash_report(report)
+        except ConfigurationError as exc:
+            named = "/".join(str(key) for key in path)
+            assert str(exc).startswith(f"crash report: {named}"), str(exc)
+
+    @pytest.mark.parametrize("report, fragment", [
+        ([], "crash report must be an object"),
+        ({"schema": "firefly-chaos/1"}, "schema is 'firefly-chaos/1'"),
+        ({"schema": "firefly-crash/1", "time": -1}, "time is -1"),
+    ])
+    def test_root_level_damage(self, report, fragment):
+        with pytest.raises(ConfigurationError, match=fragment):
+            validate_crash(report)
+
+    def test_cli_names_the_bad_field(self, tmp_path, capsys):
+        report = run_pinned_deadlock()
+        report["wait_for"]["cycle"][0]["waiter"] = None
+        path = tmp_path / "crash.json"
+        path.write_text(json.dumps(report))
+        assert main(["postmortem", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "wait_for/cycle/0/waiter must be a string" in err
+
+    def test_non_list_scenarios_hold_no_crash(self):
+        assert extract_crash({"scenarios": 1}) is None
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ traceback.
 
 from __future__ import annotations
 
+import importlib
 import json
 import multiprocessing
 import os
@@ -18,14 +19,22 @@ import time
 
 import pytest
 
+from repro.campaign import parse_spec
+from repro.cli import main
+from repro.common.errors import ConfigurationError
 from repro.faults.chaos import run_campaign
 from repro.observatory.bench import run_suite
 from repro.observatory.runner import (
+    SCENARIO_REGISTRIES,
+    Horizon,
+    Scenario,
     TrialFailure,
     run_ordered,
     run_sweep,
+    select_scenarios,
     sweep_point,
 )
+from repro.serving.engine import run_serve_campaign
 
 pytestmark = pytest.mark.observatory
 
@@ -213,3 +222,70 @@ class TestSweepValidation:
         assert point["processors"] == 1
         assert point["seed"] == 1987
         assert 0.0 < point["bus_load"] <= 1.0
+
+
+# -- the one scenario harness ---------------------------------------------
+
+
+def _raise_in_runner(scenario, horizon, seed):
+    raise ValueError(f"{scenario.name} blew up")
+
+
+#: Each harness's top-level runner, at one job and its default seed.
+_HARNESS_RUNS = {
+    "bench": lambda: run_suite(quick=True, trials=1, skip_overhead=True),
+    "chaos": lambda: run_campaign(quick=True),
+    "serve": lambda: run_serve_campaign(quick=True),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCENARIO_REGISTRIES))
+class TestScenarioRegistry:
+    """bench, chaos and serve share one Scenario type, one lookup and
+    one worker, so they share one contract."""
+
+    def test_names_unique_and_quick_is_shorter(self, kind):
+        pinned = select_scenarios(kind)
+        names = [scenario.name for scenario in pinned]
+        assert names and len(names) == len(set(names))
+        for scenario in pinned:
+            assert scenario.quick.total < scenario.full.total, scenario.name
+
+    def test_campaign_group_rejects_unknown_name_with_pinned_list(self,
+                                                                  kind):
+        pinned = ", ".join(s.name for s in select_scenarios(kind))
+        with pytest.raises(ConfigurationError) as direct:
+            select_scenarios(kind, ["no-such"])
+        assert str(direct.value) == (f"unknown {kind} scenario(s) no-such; "
+                                     f"pinned: {pinned}")
+        with pytest.raises(ConfigurationError) as grouped:
+            parse_spec({"schema": "firefly-campaign/1", "name": "unit",
+                        "matrix": [{"kind": kind,
+                                    "scenarios": ["no-such"]}]})
+        assert str(grouped.value).endswith(f": {direct.value}")
+
+    def test_raising_runner_is_a_trial_failure_at_one_job(self, kind,
+                                                           monkeypatch):
+        module, attribute = SCENARIO_REGISTRIES[kind]
+        monkeypatch.setattr(
+            importlib.import_module(module), attribute,
+            (Scenario("doomed", "raises from its runner",
+                      full=Horizon(0, 2), quick=Horizon(0, 1),
+                      runner=_raise_in_runner),))
+        with pytest.raises(TrialFailure) as failure:
+            _HARNESS_RUNS[kind]()
+        assert failure.value.label == f"({kind}/doomed, seed 1987)"
+        assert failure.value.detail == "ValueError: doomed blew up"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench"], ["chaos"], ["serve"], ["sweep"],
+    ["campaign", "run", "spec.yaml"], ["campaign", "resume", "spec.yaml"],
+])
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_jobs_below_one_is_rejected(argv, jobs, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--jobs", jobs])
+    assert exit_info.value.code == 2
+    assert f"argument --jobs: must be >= 1, got {jobs}" \
+        in capsys.readouterr().err

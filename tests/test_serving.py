@@ -431,6 +431,7 @@ class TestServingWorkload:
 class TestServeCampaign:
     def test_slo_violation_exits_nonzero(self, monkeypatch):
         from repro import cli
+        from repro.observatory.runner import Horizon, Scenario
         from repro.serving import engine
 
         def failing_runner(scenario, horizon, seed):
@@ -442,10 +443,9 @@ class TestServeCampaign:
                                     "budget 1"]
             return outcome
 
-        scenario = engine.ServeScenario(
+        scenario = Scenario(
             "always-fail", "pinned failure for the exit-code contract",
-            full=engine.ServeHorizon(0, 0),
-            quick=engine.ServeHorizon(0, 0), runner=failing_runner)
+            full=Horizon(0, 0), quick=Horizon(0, 0), runner=failing_runner)
         monkeypatch.setattr(engine, "SERVE_SCENARIOS", (scenario,))
         assert cli.main(["serve", "--quick"]) == 1
         report = engine.run_serve_campaign(quick=True)
@@ -477,8 +477,8 @@ class TestCausalUnderChaos:
         from repro.causal.assemble import SEGMENTS
         from repro.faults.models import QBusFaultModel
         from repro.faults.plan import FaultKind, FaultPlan, spec
-        from repro.serving.engine import (SERVE_ETHERNET, ServeHorizon,
-                                          _chaos_resilience,
+        from repro.observatory.runner import Horizon
+        from repro.serving.engine import (SERVE_ETHERNET, _chaos_resilience,
                                           _chaos_topology, _drive_serving)
 
         workload = ServingWorkload(_chaos_topology(), _chaos_resilience(),
@@ -491,7 +491,7 @@ class TestCausalUnderChaos:
         qbus_model = QBusFaultModel(timeout_cycles=4_000, max_retries=3,
                                     degraded_penalty_cycles=30)
         tracer, injector = _drive_serving(
-            workload, ServeHorizon(60_000, 400_000), plan=plan,
+            workload, Horizon(60_000, 400_000), plan=plan,
             qbus_model=qbus_model)
         assert workload.resilient.stats["retries"].total > 0
         assert tracer.assembled > 0

@@ -141,16 +141,11 @@ class SnoopyCache:
         self._off_mask = geometry.words_per_line - 1
         self._idx_mask = geometry.lines - 1
         self._tag_shift = geometry.lines.bit_length() - 1
-        # Protocol facts the fast path needs per access, hoisted.  The
-        # generated facts table (DSL-compiled protocols) is preferred;
-        # hand-written protocol classes fall back to the class attrs.
-        facts = getattr(protocol, "facts", None)
-        if facts is not None:
-            self._silent_states = facts.silent_write_states
-            self._silent_result = facts.silent_write_result
-        else:
-            self._silent_states = protocol.silent_write_states
-            self._silent_result = protocol.silent_write_result
+        # Protocol facts the fast path needs per access, hoisted from
+        # the table the DSL compiler generates.
+        facts = protocol.facts
+        self._silent_states = facts.silent_write_states
+        self._silent_result = facts.silent_write_result
         # Every shipped protocol inherits the base read_hit, which only
         # returns line.data[offset]; when that's the case the fast path
         # can skip the call outright (the CPU discards the value).

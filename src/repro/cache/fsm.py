@@ -75,34 +75,59 @@ class Transition:
                 f"{self.end.value}{ops}")
 
 
-class _Rig:
-    """A minimal two-cache machine for transition probing."""
+class ProbeRig:
+    """A bus, memory and N one-line caches for single-stimulus probes.
 
-    ADDRESS = 64  # arbitrary line-aligned word
+    The probed line is placed directly into a state (:meth:`inject`)
+    rather than reached by replaying a prefix, so the transition
+    function can be enumerated over its whole domain; one stimulus then
+    runs through the real cache/bus/protocol code and the result is
+    read back.  Figure 3's enumeration below and the model checker
+    (:mod:`repro.verify.model`) both drive this rig.
+    """
 
-    def __init__(self, protocol_name: str, protocol=None) -> None:
+    ADDRESS = 0  # the one line-aligned word every probe touches
+
+    def __init__(self, protocol, caches: int = 2) -> None:
         self.sim = Simulator()
-        memory = MainMemory([MemoryModule(0, 1 << 20, is_master=True)])
-        self.memory = memory
-        self.mbus = MBus(self.sim, memory)
-        self.protocol = (protocol if protocol is not None
-                         else protocol_by_name(protocol_name))
-        geometry = CacheGeometry(64, 1)
-        self.focal = SnoopyCache(self.mbus, self.protocol, 0, geometry)
-        self.peer = SnoopyCache(self.mbus, self.protocol, 1, geometry)
+        self.memory = MainMemory([MemoryModule(0, 1 << 10, is_master=True)])
+        self.mbus = MBus(self.sim, self.memory)
+        geometry = CacheGeometry(1, 1)
+        self.caches = [SnoopyCache(self.mbus, protocol, i, geometry)
+                       for i in range(caches)]
 
-    def inject(self, cache: SnoopyCache, state: LineState, value: int) -> None:
-        """Place the probe line directly into ``state``.
-
-        Injection (rather than replaying a reachability prefix) lets us
-        enumerate the *transition function* over its whole domain.  The
-        surrounding data is kept self-consistent: clean states match
-        memory, dirty states deliberately differ from it.
-        """
-        line, _, tag, _ = cache.lookup(self.ADDRESS)
+    def inject(self, index: int, state: LineState, value: int) -> None:
+        """Fill cache ``index``'s probe line with ``value`` in ``state``."""
+        line, _, tag, _ = self.caches[index].lookup(self.ADDRESS)
         line.fill(tag, (value,), state)
 
-    def run(self, gen) -> None:
+    def apply(self, stimulus: str, index: int, value: int = 0) -> None:
+        """Run one stimulus to completion.
+
+        ``P-*`` and ``DMA-*`` stimuli act through cache ``index``;
+        ``M-*`` stimuli are bare bus transactions initiated by port
+        ``index``, which therefore does not snoop them.  ``value`` is
+        the word a write stores.
+        """
+        cache = self.caches[index]
+        address = self.ADDRESS
+        if stimulus == "P-read":
+            gen = cache.cpu_read(MemRef(address, AccessKind.DATA_READ))
+        elif stimulus == "P-write":
+            gen = cache.cpu_write(MemRef(address, AccessKind.DATA_WRITE),
+                                  value)
+        elif stimulus == "DMA-read":
+            gen = cache.dma_read(address)
+        elif stimulus == "DMA-write":
+            gen = cache.dma_write(address, value)
+        elif stimulus == "M-read":
+            gen = self.mbus.transaction(index, BusOp.MREAD, address,
+                                        initiator=index)
+        elif stimulus == "M-write":
+            gen = self.mbus.transaction(index, BusOp.MWRITE, address,
+                                        initiator=index, data=(value,))
+        else:
+            raise ConfigurationError(f"unknown stimulus {stimulus!r}")
         self.sim.process(gen, "stimulus")
         self.sim.run()
 
@@ -128,69 +153,48 @@ class _Rig:
         return tuple(sorted(labels))
 
 
-def _probe(protocol_name: str, start: LineState, stimulus: str,
-           peer_holds: bool, protocol=None) -> Optional[Transition]:
-    """Apply one stimulus in a fresh rig; None if it does not apply."""
-    rig = _Rig(protocol_name, protocol=protocol)
-    address = rig.ADDRESS
-    clean_value = 111
-    rig.memory.poke(address, clean_value)
+def line_view(caches, memory, address: int):
+    """((state value, word | None) per cache, memory word) for one word."""
+    views = []
+    for cache in caches:
+        state = cache.state_of(address)
+        views.append((state.value, None if state is LineState.INVALID
+                      else cache.peek(address)))
+    return tuple(views), memory.peek(address)
 
+
+def _probe(protocol_name: str, start: LineState, stimulus: str,
+           peer_holds: bool, protocol=None) -> Transition:
+    """Apply one stimulus in a fresh rig.
+
+    Cache 0 is the focal cache and cache 1 its peer.  Clean states
+    match memory; dirty states deliberately differ from it.
+    """
+    rig = ProbeRig(protocol if protocol is not None
+                   else protocol_by_name(protocol_name))
+    clean_value = 111
+    rig.memory.poke(rig.ADDRESS, clean_value)
+    value = 222 if start.is_dirty else clean_value
     if start is not LineState.INVALID:
-        value = clean_value if not start.is_dirty else 222
-        rig.inject(rig.focal, start, value)
-        if start.is_dirty:
-            # Memory is stale relative to the dirty copy.
-            rig.memory.poke(address, clean_value)
+        rig.inject(0, start, value)
     if peer_holds:
-        peer_state = PEER_COSTATE[protocol_name]
-        peer_value = rig.focal.peek(address)
-        if peer_value is None:
-            peer_value = clean_value
-        rig.inject(rig.peer, peer_state, peer_value)
+        rig.inject(1, PEER_COSTATE[protocol_name], value)
 
     before = rig.ops_snapshot()
-
-    if stimulus == "P-read":
-        if start is LineState.INVALID:
-            def gen():
-                yield from rig.focal.cpu_read(
-                    MemRef(address, AccessKind.DATA_READ))
-        else:
-            def gen():
-                yield from rig.focal.cpu_read(
-                    MemRef(address, AccessKind.DATA_READ))
-        rig.run(gen())
-    elif stimulus == "P-write":
-        def gen():
-            yield from rig.focal.cpu_write(
-                MemRef(address, AccessKind.DATA_WRITE), 333)
-        rig.run(gen())
-    elif stimulus == "M-read":
-        if start is LineState.INVALID:
-            return None  # an M stimulus needs a resident line to probe
-        def gen():
-            yield from rig.mbus.transaction(
-                1, BusOp.MREAD, address, initiator=1)
-        rig.run(gen())
-    elif stimulus == "M-write":
-        if start is LineState.INVALID:
-            return None
-        def gen():
-            yield from rig.mbus.transaction(
-                1, BusOp.MWRITE, address, initiator=1, data=(444,))
-        rig.run(gen())
+    if stimulus.startswith("M-"):
+        rig.apply(stimulus, 1, 444)  # the peer initiates M-side arcs
     else:
-        raise ConfigurationError(f"unknown stimulus {stimulus!r}")
+        rig.apply(stimulus, 0, 333)
 
+    focal, peer = rig.caches
     return Transition(
         start=start,
         stimulus=stimulus if start is not LineState.INVALID
         else stimulus + "-miss",
         peer_holds=peer_holds,
-        end=rig.focal.state_of(address),
+        end=focal.state_of(rig.ADDRESS),
         bus_ops=rig.ops_delta(before),
-        peer_end=rig.peer.state_of(address) if peer_holds else None,
+        peer_end=peer.state_of(rig.ADDRESS) if peer_holds else None,
     )
 
 
@@ -204,28 +208,16 @@ def enumerate_transitions(protocol_name: str,
     (the static verifier passes deliberately mutated protocols through
     here); the name still selects the state vocabulary.
     """
-    if protocol_name not in PROTOCOL_STATES:
-        raise ConfigurationError(f"unknown protocol {protocol_name!r}")
-    states = (LineState.INVALID,) + PROTOCOL_STATES[protocol_name]
     transitions: List[Transition] = []
     seen = set()
-    for start in states:
-        for stimulus in ("P-read", "P-write", "M-read", "M-write"):
-            for peer_holds in (False, True):
-                if stimulus.startswith("M-") and peer_holds:
-                    continue  # the peer IS the M-side initiator
-                result = _probe(protocol_name, start, stimulus, peer_holds,
-                                protocol=protocol)
-                if result is None:
-                    continue
-                if not result.bus_ops and peer_holds:
-                    continue  # peer unobservable without a bus op
-                key = (result.start, result.stimulus, result.peer_holds,
-                       result.end, result.bus_ops)
-                if key in seen:
-                    continue
-                seen.add(key)
-                transitions.append(result)
+    for result in full_transition_table(protocol_name, protocol).values():
+        if not result.bus_ops and result.peer_holds:
+            continue  # peer unobservable without a bus op
+        key = (result.start, result.stimulus, result.peer_holds,
+               result.end, result.bus_ops)
+        if key not in seen:
+            seen.add(key)
+            transitions.append(result)
     return transitions
 
 
@@ -249,14 +241,13 @@ def full_transition_table(
     for start in states:
         for stimulus in ("P-read", "P-write", "M-read", "M-write"):
             for peer_holds in (False, True):
-                if stimulus.startswith("M-") and peer_holds:
+                if stimulus.startswith("M-") and (
+                        peer_holds or start is LineState.INVALID):
+                    # The peer initiates M-side arcs, and they need a
+                    # resident line to probe.
                     continue
-                if stimulus.startswith("M-") and start is LineState.INVALID:
-                    continue
-                result = _probe(protocol_name, start, stimulus, peer_holds,
-                                protocol=protocol)
-                if result is not None:
-                    table[(start, stimulus, peer_holds)] = result
+                table[(start, stimulus, peer_holds)] = _probe(
+                    protocol_name, start, stimulus, peer_holds, protocol)
     return table
 
 

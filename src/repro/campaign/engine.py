@@ -71,14 +71,9 @@ def campaign_trial(spec: Tuple[str, str, int, Dict]):
         from repro.trace.vectorized import run_vectorized
 
         result = run_vectorized(params["processors"],
-                                params["instructions"], seed,
-                                backend=params.get("backend"))
-        metrics = result.metrics()
-        # The backend is a host property (numpy present or not), and
-        # the counts are backend-identical by construction; drop it so
-        # the report and golden digests stay host-independent.
-        metrics.pop("backend", None)
-        return {"seed": seed, "cycles": result.ticks, "metrics": metrics}
+                                params["instructions"], seed)
+        return {"seed": seed, "cycles": result.ticks,
+                "metrics": result.metrics()}
     if kind == "probe":
         return _probe_trial(seed, params)
     raise ConfigurationError(f"unknown trial kind {kind!r}")

@@ -71,7 +71,7 @@ _GROUP_KEYS = {
                              "warmup", "measure"},
     **{kind: _COMMON_KEYS | {"scenarios", "quick"}
        for kind in SCENARIO_KINDS},
-    "vector": _COMMON_KEYS | {"processors", "instructions", "backend"},
+    "vector": _COMMON_KEYS | {"processors", "instructions"},
     "probe": _COMMON_KEYS | {"name", "offset", "fail_env", "spin"},
 }
 
@@ -330,17 +330,7 @@ def _validate_vector(group: Dict, where: str) -> Dict:
     if not isinstance(instructions, int) or instructions < 1:
         raise ConfigurationError(f"{where}: instructions must be a "
                                  f"positive integer")
-    validated = {"processors": processors, "instructions": instructions}
-    backend = group.get("backend")
-    if backend is not None:
-        from repro.trace.vectorized import BACKENDS
-
-        if backend not in BACKENDS:
-            raise ConfigurationError(
-                f"{where}: backend must be one of {', '.join(BACKENDS)}; "
-                f"got {backend!r}")
-        validated["backend"] = backend
-    return validated
+    return {"processors": processors, "instructions": instructions}
 
 
 def _validate_probe(group: Dict, where: str) -> Dict:
@@ -443,8 +433,6 @@ def _expand_group(group: Dict, default_seeds: Sequence[int]
                     continue
                 params = {"processors": processors,
                           "instructions": group["instructions"]}
-                if "backend" in group:
-                    params["backend"] = group["backend"]
                 out.append((f"vector/np{processors}"
                             f"/i{group['instructions']}/s{seed}",
                             seed, params))

@@ -31,9 +31,8 @@ Subcommands:
     state space against the I1–I4 coherence invariants plus
     transition-table structural properties, and run the
     simulation-safety linter over the sources.  ``--json`` writes the
-    findings (stable ordering) for CI; ``--oracle dsl`` explores with
-    the pure generated oracle instead of the simulator.  Exits
-    non-zero on any violation; see docs/VERIFY.md.
+    findings (stable ordering) for CI.  Exits non-zero on any
+    violation; see docs/VERIFY.md.
 ``bench``
     Run the pinned benchmark suite, write ``BENCH_<n>.json``, and
     optionally compare against the previous BENCH file with the
@@ -95,7 +94,7 @@ Examples::
     firefly-sim fsm --protocol dragon
     firefly-sim verify --protocol firefly
     firefly-sim verify --all-protocols --dma
-    firefly-sim verify --all-protocols --oracle dsl --json findings.json
+    firefly-sim verify --all-protocols --dma --json findings.json
     firefly-sim bench --quick
     firefly-sim bench --compare --threshold 0.2
     firefly-sim bench --quick --jobs 4 --baseline-dir . --compare
@@ -203,10 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="PATH",
                         help="lint these files/dirs (default: the "
                              "installed repro package sources)")
-    verify.add_argument("--oracle", choices=("sim", "dsl"), default="sim",
-                        help="model-checker transition oracle: the live "
-                             "simulator rig ('sim', default) or the pure "
-                             "generated DSL oracle ('dsl', much faster)")
     verify.add_argument("--json", metavar="PATH", default=None,
                         help="write the findings document (guard/"
                              "structural/invariant findings, minimal "
@@ -436,17 +431,24 @@ def _write_json(path_str, document) -> None:
 
 
 def _guard_output(path_str, force: bool, flag: str) -> None:
-    """Refuse to overwrite an existing output file without ``--force``.
+    """Refuse an output path that cannot or must not be written.
 
-    Called before the simulation runs, so a long measurement is never
-    wasted on a file that will not be written.  Shared by
-    ``--telemetry-out``, sweep/chaos ``--json`` and the campaign
-    report/dashboard outputs.
+    Rejects a path whose directory does not exist, and an existing
+    file unless ``--force`` was given.  Called before the simulation
+    runs, so a long measurement is never wasted on a file that will not
+    be written.  Shared by ``--telemetry-out``, the ``--json`` outputs
+    and the campaign report/dashboard outputs.
     """
-    if path_str is not None and Path(path_str).exists() and not force:
+    if path_str is None:
+        return
+    path = Path(path_str)
+    if path.exists() and not force:
         raise ConfigurationError(
             f"{flag} {path_str} already exists; pass --force to "
             f"overwrite it")
+    if not path.parent.is_dir():
+        raise ConfigurationError(
+            f"{flag} {path_str}: directory {path.parent} does not exist")
 
 
 def _begin_telemetry(args, subject, for_kernel: bool):
@@ -623,14 +625,12 @@ def _cmd_verify(args) -> int:
                       f"finding(s); model checking skipped")
             else:
                 # Stage 2: exhaustive model check of the global state
-                # space (sim rig or pure DSL oracle).
+                # space, one live simulator rig per transition.
                 report = verify_protocol(name, caches=args.caches,
-                                         include_dma=args.dma,
-                                         oracle=args.oracle)
+                                         include_dma=args.dma)
                 print(report.render())
                 entry["model"] = {
                     "ok": report.ok,
-                    "oracle": args.oracle,
                     "caches": report.caches,
                     "states_explored": report.states_explored,
                     "transitions_taken": report.transitions_taken,
@@ -672,6 +672,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_trace(args) -> int:
     from repro.reporting import render_phase_timeline
+    # --out has a default and is overwritten by design; only a missing
+    # directory is refused before the run.
+    _guard_output(args.out, True, "--out")
     if args.workload == "exerciser":
         kernel = build_exerciser(args.processors,
                                  ExerciserParams(threads=args.threads),
@@ -712,7 +715,11 @@ def _cmd_postmortem(args) -> int:
         seed = args.seed if args.seed is not None else PINNED_DEADLOCK_SEED
         report = run_pinned_deadlock(seed=seed)
     elif args.report is not None:
-        document = json.loads(Path(args.report).read_text())
+        try:
+            document = json.loads(Path(args.report).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(
+                f"{args.report}: invalid JSON: {exc}") from None
         report = extract_crash(document)
         if report is None:
             raise ConfigurationError(

@@ -23,6 +23,7 @@ simulation-safety linter exempts) and nowhere else in the package.
 from __future__ import annotations
 
 import json
+import math
 import platform
 import re
 from dataclasses import dataclass
@@ -280,7 +281,6 @@ def _vector_stat_runner(scenario: Scenario, horizon: Horizon,
         metrics[f"np{processors}.bus_load"] = result.bus_load
         metrics[f"np{processors}.mean_tpi"] = result.mean_tpi
         metrics[f"np{processors}.miss_rate"] = result.miss_rate
-        metrics["backend"] = result.backend
     return cycles, metrics
 
 
@@ -491,6 +491,20 @@ def run_suite(quick: bool = False, trials: Optional[int] = None,
     return document
 
 
+def _is_number(value) -> bool:
+    """A JSON number the detector can compute with: finite, not a bool.
+
+    JSON integers are unbounded, and one past float range would raise
+    ``OverflowError`` in the ratio arithmetic of :func:`compare_bench`.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def validate_bench(document: Dict) -> List[str]:
     """Structural problems with a BENCH document ([] when valid)."""
     problems: List[str] = []
@@ -519,10 +533,10 @@ def validate_bench(document: Dict) -> List[str]:
                     continue
                 for key in ("seed", "cycles", "wall_seconds",
                             "ticks_per_second"):
-                    if not isinstance(trial.get(key), (int, float)):
+                    if not _is_number(trial.get(key)):
                         problems.append(f"{name}: trial {i} missing {key}")
         for key in ("median_ticks_per_second", "noise"):
-            if not isinstance(entry.get(key), (int, float)):
+            if not _is_number(entry.get(key)):
                 problems.append(f"{name}: missing numeric {key}")
         if not isinstance(entry.get("metrics"), dict):
             problems.append(f"{name}: metrics must be an object")

@@ -4,22 +4,22 @@ One :class:`~repro.protodsl.defs.ProtocolDef` generates everything the
 rest of the system needs from a coherence protocol:
 
 - the runtime ``CoherenceProtocol`` subclass ``SnoopyCache`` drives
-  (:mod:`repro.protodsl.runtime`),
+  (:class:`repro.cache.protocols.dsl.DSLProtocol`),
 - the :class:`~repro.protodsl.defs.ProtocolFacts` table the cache fast
   paths and DMA hook gate on, and
-- the pure transition oracle the verifier's model checker explores
-  without spinning up a simulator (:mod:`repro.protodsl.oracle`);
+- the single-line transition table derived without a simulator
+  (:func:`repro.protodsl.oracle.line_table`);
 
 with the static **guard checker** (:mod:`repro.protodsl.check`)
 proving exhaustiveness, disjointness, reachability and fact
 consistency over the finite guard space before any simulation runs.
 
 Import note: this package deliberately re-exports only the simulator-
-independent pieces (definitions and checker).  The runtime and oracle
-live in their own submodules — import them as
-``repro.protodsl.runtime`` / ``repro.protodsl.oracle`` — because they
-depend on the cache layer, and pulling them in here would make the
-package unimportable from inside that layer.
+independent pieces (definitions and checker).  The runtime lives in
+the protocols package and the table in :mod:`repro.protodsl.oracle`
+— import that submodule directly — because both depend on the cache
+layer, and pulling them in here would make the package unimportable
+from inside that layer.
 """
 
 from repro.protodsl.check import GuardFinding, check_guards

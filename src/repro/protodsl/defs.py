@@ -10,11 +10,13 @@ is a declarative value rather than imperative code, three artefacts
 can be generated from one definition —
 
 - the runtime :class:`~repro.cache.protocols.base.CoherenceProtocol`
-  subclass ``SnoopyCache`` drives (:mod:`repro.protodsl.runtime`),
+  subclass ``SnoopyCache`` drives
+  (:class:`repro.cache.protocols.dsl.DSLProtocol`),
 - the protocol facts the cache's fast paths and the DMA port gate on
   (:class:`ProtocolFacts`), and
-- the pure transition oracle the static verifier explores without a
-  simulator (:mod:`repro.protodsl.oracle`),
+- the single-line transition table derived without a simulator
+  (:func:`repro.protodsl.oracle.line_table`), which the tests hold
+  equal to the table measured on the live rig,
 
 and a static **guard checker** (:mod:`repro.protodsl.check`) can prove
 exhaustiveness, disjointness, reachability and fact consistency over

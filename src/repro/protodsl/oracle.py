@@ -1,36 +1,22 @@
-"""Pure transition oracles generated from a protocol definition.
+"""The pure single-line transition table generated from a definition.
 
-Two oracles, both derived from a
-:class:`~repro.protodsl.defs.ProtocolDef` with **no simulator in the
-loop**:
+:func:`line_table` derives, from a
+:class:`~repro.protodsl.defs.ProtocolDef` alone and with **no simulator
+in the loop**, the transition function over the same (state, stimulus,
+peer-presence) domain :func:`repro.cache.fsm.full_transition_table`
+*measures* on a live rig.  The pinned-data tests
+(``tests/test_protodsl_oracle.py``) hold the measured table, the pinned
+cells and this table equal for every registered protocol, so a newly
+added definition has an oracle derived from the definition itself.
 
-:func:`line_table`
-    The single-line transition function over the same (state, stimulus,
-    peer-presence) domain :func:`repro.cache.fsm.full_transition_table`
-    *measures* with a live two-cache rig.  The oracle-equivalence tests
-    diff the generated table against the measured one cell by cell for
-    every registered protocol — the declarative definition and the
-    running implementation are thereby proven to describe the same
-    machine (both are compiled from the definition, but the measured
-    side exercises the real cache/bus/arbitration stack).
-
-:func:`global_step`
-    One stimulus applied to the version-abstracted N-cache global state
-    the model checker explores.  ``ModelChecker(oracle="dsl")`` uses it
-    as the transition function instead of materialising a fresh rig per
-    step, which makes exhaustive exploration orders of magnitude
-    cheaper; the cross-validation tests assert the "sim" and "dsl"
-    oracles reach identical state sets.
-
-The global step mirrors the MBus transaction semantics: the MShared
-response is the OR over the responding snoopers, suppliers inhibit
-memory, ``write_back`` snarfs the supplied line into memory in the
-same transaction, and the initiator never snoops its own operation.
+The derivation mirrors the MBus transaction semantics: the MShared
+response is the OR over the responding snoopers, and the initiator
+never snoops its own operation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cache.fsm import Transition
 from repro.cache.line import LineState
@@ -51,24 +37,9 @@ from repro.protodsl.defs import (
     WriteThrough,
 )
 
-#: (state value, version | None) per cache, plus the memory version —
-#: structurally identical to repro.verify.model.GlobalState, kept
-#: duplicated here so the oracle stays importable without the verifier.
-CacheView = Tuple[str, Optional[int]]
-GlobalState = Tuple[Tuple[CacheView, ...], int]
 
-
-# =========================================================================
-# single-line table (the fsm.full_transition_table twin)
-# =========================================================================
-
-def _snoop_outcome(defn: ProtocolDef, op: BusOp, state: LineState,
-                   written: Optional[object] = None):
-    """(end state, shared, supplies, write_back) for one snooped cell.
-
-    ``written`` is the payload version a TakeData effect would adopt
-    (only meaningful for MWRITE); the line-table path ignores it.
-    """
+def _snoop_outcome(defn: ProtocolDef, op: BusOp, state: LineState):
+    """(end state, MShared asserted) for one snooped cell."""
     rule = defn.snoop_rule(op, state)
     if rule is None:
         raise SimulationError(
@@ -83,14 +54,7 @@ def _snoop_outcome(defn: ProtocolDef, op: BusOp, state: LineState,
         end = LineState.INVALID
     else:  # Stay
         end = state
-    return end, rule.shared, rule.supply, rule.write_back
-
-
-def _peer_after(defn: ProtocolDef, op: BusOp,
-                peer_state: LineState) -> Tuple[LineState, bool]:
-    """(peer end state, MShared asserted) when the peer snoops ``op``."""
-    end, shared, _, _ = _snoop_outcome(defn, op, peer_state)
-    return end, shared
+    return end, rule.shared
 
 
 def _pure_write_hit(defn: ProtocolDef, start: LineState,
@@ -102,7 +66,7 @@ def _pure_write_hit(defn: ProtocolDef, start: LineState,
         end = action.next_state if action.next_state is not None else start
         return end, peer, []
     if isinstance(action, WriteThrough):
-        peer_end, shared = (_peer_after(defn, BusOp.MWRITE, peer)
+        peer_end, shared = (_snoop_outcome(defn, BusOp.MWRITE, peer)
                             if peer is not LineState.INVALID
                             else (peer, False))
         end = action.shared_state if shared else action.exclusive_state
@@ -110,7 +74,7 @@ def _pure_write_hit(defn: ProtocolDef, start: LineState,
     if isinstance(action, AcquireThenWrite):
         peer_end = peer
         if peer is not LineState.INVALID:
-            peer_end, _ = _peer_after(defn, BusOp.MINVALIDATE, peer)
+            peer_end, _ = _snoop_outcome(defn, BusOp.MINVALIDATE, peer)
         return action.next_state, peer_end, [BusOp.MINVALIDATE.value]
     # AsWriteMiss: re-fetch through the write-miss table.  The probe
     # geometry is one aligned longword, and the resident line is the
@@ -129,7 +93,7 @@ def _pure_write_miss(defn: ProtocolDef, resident: LineState,
     if resident is not LineState.INVALID and resident.is_dirty:
         ops.append("MWrite(victim)")
         if peer_end is not LineState.INVALID:
-            peer_end, _ = _peer_after(defn, BusOp.MWRITE, peer_end)
+            peer_end, _ = _snoop_outcome(defn, BusOp.MWRITE, peer_end)
     action = defn.write_miss_rule(True).action
     if isinstance(action, ReadThenWrite):
         filled, peer_end, read_ops = _pure_read_miss(defn, LineState.INVALID,
@@ -138,17 +102,17 @@ def _pure_write_miss(defn: ProtocolDef, resident: LineState,
         return hit_end, peer_end, ops + read_ops + hit_ops
     if isinstance(action, ReadForOwnership):
         if peer_end is not LineState.INVALID:
-            peer_end, _ = _peer_after(defn, BusOp.MREAD_EX, peer_end)
+            peer_end, _ = _snoop_outcome(defn, BusOp.MREAD_EX, peer_end)
         return action.fill_state, peer_end, ops + [BusOp.MREAD_EX.value]
     if isinstance(action, WriteAllocate):
         shared = False
         if peer_end is not LineState.INVALID:
-            peer_end, shared = _peer_after(defn, BusOp.MWRITE, peer_end)
+            peer_end, shared = _snoop_outcome(defn, BusOp.MWRITE, peer_end)
         end = action.shared_state if shared else action.exclusive_state
         return end, peer_end, ops + [BusOp.MWRITE.value]
     # WriteNoAllocate: the cache is left untouched.
     if peer_end is not LineState.INVALID:
-        peer_end, _ = _peer_after(defn, BusOp.MWRITE, peer_end)
+        peer_end, _ = _snoop_outcome(defn, BusOp.MWRITE, peer_end)
     return resident, peer_end, ops + [BusOp.MWRITE.value]
 
 
@@ -160,10 +124,10 @@ def _pure_read_miss(defn: ProtocolDef, resident: LineState,
     if resident is not LineState.INVALID and resident.is_dirty:
         ops.append("MWrite(victim)")
         if peer_end is not LineState.INVALID:
-            peer_end, _ = _peer_after(defn, BusOp.MWRITE, peer_end)
+            peer_end, _ = _snoop_outcome(defn, BusOp.MWRITE, peer_end)
     shared = False
     if peer_end is not LineState.INVALID:
-        peer_end, shared = _peer_after(defn, BusOp.MREAD, peer_end)
+        peer_end, shared = _snoop_outcome(defn, BusOp.MREAD, peer_end)
     rule = defn.read_miss
     end = rule.shared_state if shared else rule.exclusive_state
     return end, peer_end, ops + [BusOp.MREAD.value]
@@ -201,10 +165,10 @@ def line_table(defn: ProtocolDef
                         end, peer_end, ops = _pure_write_hit(
                             defn, start, peer)
                 elif stimulus == "M-read":
-                    end, _, _, _ = _snoop_outcome(defn, BusOp.MREAD, start)
+                    end, _ = _snoop_outcome(defn, BusOp.MREAD, start)
                     peer_end, ops = peer, [BusOp.MREAD.value]
                 else:  # M-write
-                    end, _, _, _ = _snoop_outcome(defn, BusOp.MWRITE, start)
+                    end, _ = _snoop_outcome(defn, BusOp.MWRITE, start)
                     peer_end, ops = peer, [BusOp.MWRITE.value]
                 table[(start, stimulus, peer_holds)] = Transition(
                     start=start,
@@ -216,176 +180,3 @@ def line_table(defn: ProtocolDef
                     peer_end=peer_end if peer_holds else None,
                 )
     return table
-
-
-# =========================================================================
-# global N-cache step (the model checker's "dsl" oracle)
-# =========================================================================
-
-class _World:
-    """Mutable working copy of one abstract global state."""
-
-    def __init__(self, defn: ProtocolDef, state: GlobalState) -> None:
-        self.defn = defn
-        views, self.memory = state
-        self.states = [LineState(value) for value, _ in views]
-        self.versions: List[Optional[int]] = [v for _, v in views]
-
-    def freeze(self) -> GlobalState:
-        views = tuple(
-            (state.value, None if state is LineState.INVALID else version)
-            for state, version in zip(self.states, self.versions))
-        return views, self.memory
-
-    def resident(self, cache: int) -> bool:
-        return self.states[cache] is not LineState.INVALID
-
-    # -- one bus transaction ------------------------------------------
-
-    def transact(self, initiator: int, op: BusOp,
-                 written: Optional[int] = None,
-                 update_memory: bool = True) -> Tuple[bool, Optional[int]]:
-        """Snoop fan-out for one transaction; returns (shared, data).
-
-        ``written`` is the payload version for MWRITE.  ``data`` is
-        what a read returns: the supplied version if a cache drove the
-        bus (memory inhibited), otherwise the memory version.
-        """
-        defn = self.defn
-        shared = False
-        supplied: Optional[int] = None
-        snarf = False
-        for cache in range(len(self.states)):
-            if cache == initiator or not self.resident(cache):
-                continue
-            state = self.states[cache]
-            end, responds_shared, supplies, write_back = _snoop_outcome(
-                defn, op, state)
-            shared = shared or responds_shared
-            if supplies:
-                version = self.versions[cache]
-                if supplied is not None and supplied != version:
-                    raise SimulationError(
-                        f"{defn.name}: conflicting supplier data "
-                        f"(versions {supplied} and {version}) on "
-                        f"{op.value}")
-                supplied = version
-                snarf = snarf or write_back
-            self.states[cache] = end
-            if end is LineState.INVALID:
-                self.versions[cache] = None
-            elif isinstance(defn.snoop_rule(op, state).effect, TakeData):
-                self.versions[cache] = written
-        if op is BusOp.MWRITE:
-            if update_memory:
-                self.memory = written
-            return shared, None
-        data = supplied if supplied is not None else self.memory
-        if snarf:
-            self.memory = data
-        return shared, data
-
-    # -- processor-side compositions -----------------------------------
-
-    def victimize(self, cache: int) -> None:
-        if self.resident(cache) and self.states[cache].is_dirty:
-            self.transact(cache, BusOp.MWRITE,
-                          written=self.versions[cache])
-        self.states[cache] = LineState.INVALID
-        self.versions[cache] = None
-
-    def read_miss(self, cache: int) -> None:
-        self.victimize(cache)
-        shared, data = self.transact(cache, BusOp.MREAD)
-        rule = self.defn.read_miss
-        self.states[cache] = (rule.shared_state if shared
-                              else rule.exclusive_state)
-        self.versions[cache] = data
-
-    def write_hit(self, cache: int, fresh: int) -> None:
-        action = self.defn.write_hit_rule(self.states[cache]).action
-        if isinstance(action, SilentWrite):
-            self.versions[cache] = fresh
-            if action.next_state is not None:
-                self.states[cache] = action.next_state
-            return
-        if isinstance(action, WriteThrough):
-            shared, _ = self.transact(cache, BusOp.MWRITE, written=fresh,
-                                      update_memory=action.update_memory)
-            self.versions[cache] = fresh
-            self.states[cache] = (action.shared_state if shared
-                                  else action.exclusive_state)
-            return
-        if isinstance(action, AcquireThenWrite):
-            self.transact(cache, BusOp.MINVALIDATE)
-            # One stimulus at a time: the copy can never be lost while
-            # the invalidation waits, so no write-miss fallback here.
-            self.versions[cache] = fresh
-            self.states[cache] = action.next_state
-            return
-        # AsWriteMiss
-        self.write_miss(cache, fresh)
-
-    def write_miss(self, cache: int, fresh: int) -> None:
-        # The model's geometry is one aligned longword per line.
-        action = self.defn.write_miss_rule(True).action
-        if isinstance(action, ReadThenWrite):
-            self.read_miss(cache)
-            self.write_hit(cache, fresh)
-            return
-        self.victimize(cache)
-        if isinstance(action, ReadForOwnership):
-            self.transact(cache, BusOp.MREAD_EX)
-            self.states[cache] = action.fill_state
-            self.versions[cache] = fresh  # fetched line, own word merged
-            return
-        if isinstance(action, WriteAllocate):
-            shared, _ = self.transact(cache, BusOp.MWRITE, written=fresh)
-            self.states[cache] = (action.shared_state if shared
-                                  else action.exclusive_state)
-            self.versions[cache] = fresh
-            return
-        # WriteNoAllocate: nothing is filled.
-        self.transact(cache, BusOp.MWRITE, written=fresh)
-
-    def dma_read(self, cache: int) -> None:
-        if self.resident(cache):
-            return  # hit: served from the cache, no bus traffic
-        self.transact(cache, BusOp.MREAD)  # miss: read, do not allocate
-
-    def dma_write(self, cache: int, fresh: int) -> None:
-        was_resident = self.resident(cache)
-        shared, _ = self.transact(cache, BusOp.MWRITE, written=fresh)
-        if was_resident:
-            # The copy merged the DMA word at grant time and memory was
-            # updated by the same transaction: clean, state per facts.
-            self.versions[cache] = fresh
-            self.states[cache] = (self.defn.dma_shared_state if shared
-                                  else self.defn.dma_exclusive_state)
-
-
-def global_step(defn: ProtocolDef, state: GlobalState, kind: str,
-                cache: int, fresh_version: int) -> GlobalState:
-    """Apply one model-checker stimulus purely; returns the raw
-    (un-canonicalised) successor state.
-
-    ``kind`` is one of ``P-read`` / ``P-write`` / ``DMA-read`` /
-    ``DMA-write`` — the same stimulus vocabulary
-    :class:`repro.verify.model.ModelChecker` explores.
-    """
-    world = _World(defn, state)
-    if kind == "P-read":
-        if not world.resident(cache):
-            world.read_miss(cache)
-    elif kind == "P-write":
-        if world.resident(cache):
-            world.write_hit(cache, fresh_version)
-        else:
-            world.write_miss(cache, fresh_version)
-    elif kind == "DMA-read":
-        world.dma_read(cache)
-    elif kind == "DMA-write":
-        world.dma_write(cache, fresh_version)
-    else:
-        raise SimulationError(f"unknown stimulus kind {kind!r}")
-    return world.freeze()

@@ -15,10 +15,8 @@ open queueing model (:mod:`repro.analytic.queueing`):
    totals the :class:`~repro.common.rng.FractionalAccumulator` error
    diffusion produces, and every reference makes one uniform draw per
    stochastic decision — miss?, victim dirty?, write shared? — through
-   ``random_block`` (PR-5's element-identical bulk path).  The numpy
-   backend and the pure-Python backend consume *the same draws in the
-   same order* and reduce them to *integer counts*, so their results
-   are bit-identical; numpy only accelerates the reduction.
+   ``random_block`` (the element-identical bulk path), and each block
+   reduces to an *integer count* of draws below the rate.
 
 2. **Closed-form bus service.**  Bus occupancy is accumulated in
    closed form — ``bus_op_ticks * (misses + dirty victims + shared
@@ -48,31 +46,18 @@ from repro.analytic.queueing import AnalyticParameters, FireflyAnalyticModel
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RandomStream
 
-try:  # numpy accelerates the draw reduction; the container bakes it in,
-    import numpy as _np  # but the pure-Python path is always available.
-except ImportError:  # pragma: no cover - exercised via backend="python"
-    _np = None
-
 #: Draws per ``random_block`` refill; bounds peak memory, not results.
 DEFAULT_CHUNK = 65_536
-
-#: The two reduction backends (identical results, different hosts).
-BACKENDS = ("numpy", "python")
-
-
-def numpy_available() -> bool:
-    """Whether the numpy reduction backend can be selected."""
-    return _np is not None
 
 
 @dataclass(frozen=True)
 class VectorizedResult:
     """One vectorized statistical run, reduced to the §5.2 quantities.
 
-    The count fields are exact integers (identical across backends);
-    the model fields are the analytic evaluation at the *empirical*
-    rates — directly comparable to a coroutine run's measured
-    ``bus_load`` / ``mean_tpi`` / RP within the divergence bands.
+    The count fields are exact integers; the model fields are the
+    analytic evaluation at the *empirical* rates — directly comparable
+    to a coroutine run's measured ``bus_load`` / ``mean_tpi`` / RP
+    within the divergence bands.
     """
 
     processors: int
@@ -91,7 +76,6 @@ class VectorizedResult:
     relative_performance: float
     total_performance: float
     ticks: int                  # simulated ticks covered per CPU
-    backend: str
     seed: int
 
     def metrics(self) -> Dict:
@@ -110,41 +94,23 @@ class VectorizedResult:
             "mean_tpi": self.mean_tpi,
             "relative_performance": self.relative_performance,
             "total_performance": self.total_performance,
-            "backend": self.backend,
         }
 
 
-def _resolve_backend(backend: Optional[str]) -> str:
-    if backend is None:
-        return "numpy" if _np is not None else "python"
-    if backend not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown vectorized backend {backend!r}; known: "
-            f"{', '.join(BACKENDS)}")
-    if backend == "numpy" and _np is None:
-        raise ConfigurationError(
-            "numpy backend requested but numpy is not importable; "
-            "use backend='python'")
-    return backend
-
-
 def _count_below(stream: RandomStream, draws: int, p: float,
-                 chunk: int, use_numpy: bool) -> int:
+                 chunk: int) -> int:
     """How many of the next ``draws`` uniforms fall below ``p``.
 
-    Both backends consume exactly ``draws`` floats from the stream in
-    block order and compare with the same ``<`` predicate, so the count
-    — and every stream draw after it — is backend-independent.
+    Consumes exactly ``draws`` floats from the stream in block order,
+    so the count — and every stream draw after it — is independent of
+    ``chunk``.
     """
     remaining = draws
     count = 0
     while remaining > 0:
         block = stream.random_block(min(chunk, remaining))
         remaining -= len(block)
-        if use_numpy:
-            count += int((_np.asarray(block) < p).sum())
-        else:
-            count += sum(1 for draw in block if draw < p)
+        count += sum(1 for draw in block if draw < p)
     return count
 
 
@@ -166,8 +132,7 @@ def params_from_reduction(reduction,
 
 def run_vectorized(processors: int, instructions: int, seed: int,
                    params: Optional[AnalyticParameters] = None,
-                   chunk: int = DEFAULT_CHUNK,
-                   backend: Optional[str] = None) -> VectorizedResult:
+                   chunk: int = DEFAULT_CHUNK) -> VectorizedResult:
     """Run the statistical mode: batched draws -> §5.2 model outputs.
 
     ``instructions`` is the per-CPU instruction budget.  Each CPU's
@@ -183,8 +148,6 @@ def run_vectorized(processors: int, instructions: int, seed: int,
             f"instruction budget must be >= 1, got {instructions}")
     if chunk < 1:
         raise ConfigurationError(f"chunk must be >= 1, got {chunk}")
-    backend = _resolve_backend(backend)
-    use_numpy = backend == "numpy"
     params = params or AnalyticParameters()
     mix = params.mix
 
@@ -201,14 +164,13 @@ def run_vectorized(processors: int, instructions: int, seed: int,
         stream = RandomStream(seed, f"cpu{cpu}.vector")
         # Draw order is part of the contract: miss draws for every
         # reference, then one dirty draw per miss, then one shared draw
-        # per data write — fixed counts, so both backends stay aligned.
+        # per data write — fixed counts, so the stream stays aligned.
         cpu_misses = _count_below(stream, refs_per_cpu, params.miss_rate,
-                                  chunk, use_numpy)
+                                  chunk)
         cpu_dirty = _count_below(stream, cpu_misses, params.dirty_fraction,
-                                 chunk, use_numpy)
+                                 chunk)
         cpu_shared = _count_below(stream, dwrites,
-                                  params.shared_write_fraction,
-                                  chunk, use_numpy)
+                                  params.shared_write_fraction, chunk)
         references += refs_per_cpu
         misses += cpu_misses
         dirty_victims += cpu_dirty
@@ -251,7 +213,6 @@ def run_vectorized(processors: int, instructions: int, seed: int,
         relative_performance=rp,
         total_performance=processors * rp,
         ticks=int(instructions * tpi),
-        backend=backend,
         seed=seed)
 
 

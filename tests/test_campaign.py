@@ -634,6 +634,32 @@ class TestCli:
         assert existing.read_text() == "precious"
         assert "--force" in capsys.readouterr().err
 
+    def test_sweep_json_missing_directory_fails_before_running(
+            self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        assert self.run_cli("sweep", "--processors", "1",
+                            "--seeds", "1987",
+                            "--warmup-cycles", "200",
+                            "--measure-cycles", "500",
+                            "--json", str(target)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no sweep table: nothing was simulated
+        assert f"--json {target}" in captured.err
+        assert "does not exist" in captured.err
+        assert not target.parent.exists()
+
+    def test_trace_out_missing_directory_fails_before_running(
+            self, tmp_path, capsys):
+        target = tmp_path / "missing" / "t.json"
+        assert self.run_cli("trace", "--processors", "1",
+                            "--warmup-cycles", "200",
+                            "--measure-cycles", "500",
+                            "--out", str(target)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no timeline: nothing was simulated
+        assert f"--out {target}" in captured.err
+        assert "does not exist" in captured.err
+
     def test_chaos_json_guard(self, tmp_path, capsys):
         existing = tmp_path / "chaos.json"
         existing.write_text("precious")

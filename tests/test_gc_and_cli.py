@@ -100,11 +100,10 @@ class TestCli:
 
 
 class TestCliVerify:
-    """The verify subcommand: guard stage, --json document, --oracle."""
+    """The verify subcommand: guard stage and --json document."""
 
-    def test_verify_one_protocol_with_dsl_oracle(self, capsys):
-        assert main(["verify", "--protocol", "mesi", "--no-lint",
-                     "--oracle", "dsl"]) == 0
+    def test_verify_one_protocol(self, capsys):
+        assert main(["verify", "--protocol", "mesi", "--no-lint"]) == 0
         out = capsys.readouterr().out
         assert "[OK] mesi" in out
         assert "all checks passed" in out
@@ -113,7 +112,7 @@ class TestCliVerify:
         import json
         out_path = tmp_path / "findings.json"
         assert main(["verify", "--all-protocols", "--no-lint",
-                     "--oracle", "dsl", "--json", str(out_path)]) == 0
+                     "--json", str(out_path)]) == 0
         capsys.readouterr()
         document = json.loads(out_path.read_text())
         assert document["ok"] is True
@@ -123,7 +122,7 @@ class TestCliVerify:
         entry = document["protocols"]["firefly"]
         assert entry["guard_findings"] == []
         assert entry["model"]["ok"] is True
-        assert entry["model"]["oracle"] == "dsl"
+        assert "oracle" not in entry["model"]
         assert entry["model"]["counterexample"] is None
 
     def test_verify_json_is_byte_stable(self, tmp_path, capsys):
@@ -131,7 +130,7 @@ class TestCliVerify:
         second = tmp_path / "b.json"
         for path in (first, second):
             assert main(["verify", "--protocol", "bedrock", "--no-lint",
-                         "--oracle", "dsl", "--json", str(path)]) == 0
+                         "--json", str(path)]) == 0
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
 
@@ -140,13 +139,12 @@ class TestCliVerify:
         out_path = tmp_path / "findings.json"
         out_path.write_text("{}")
         assert main(["verify", "--protocol", "mesi", "--no-lint",
-                     "--oracle", "dsl", "--json", str(out_path)]) == 1
+                     "--json", str(out_path)]) == 1
         err = capsys.readouterr().err
         assert "--force" in err
         assert out_path.read_text() == "{}"
         assert main(["verify", "--protocol", "mesi", "--no-lint",
-                     "--oracle", "dsl", "--json", str(out_path),
-                     "--force"]) == 0
+                     "--json", str(out_path), "--force"]) == 0
         capsys.readouterr()
 
     def test_verify_lint_findings_land_in_the_document(self, tmp_path,

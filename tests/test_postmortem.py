@@ -216,6 +216,17 @@ class TestPostmortemCli:
         rc = main(["postmortem"])
         assert rc != 0
 
+    def test_malformed_file_names_the_file_and_position(self, tmp_path,
+                                                        capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{bad")
+        rc = main(["postmortem", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {path}: invalid JSON")
+        assert "line 1 column 2" in err
+        assert "Traceback" not in err
+
     def test_file_without_crash_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "clean.json"
         path.write_text(json.dumps({"scenarios": [{"crash": None}]}))

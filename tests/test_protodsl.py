@@ -15,7 +15,6 @@ from repro.cache.line import LineState
 from repro.cache.protocols import (
     PROTOCOL_DEFINITIONS,
     ProtocolDefinitionError,
-    definition_of,
     protocol_by_name,
 )
 from repro.cache.protocols.dsl import DSLProtocol
@@ -236,25 +235,11 @@ class TestCompiler:
         assert protocol.resident_after_dma_write(True) is S
         assert protocol.resident_after_dma_write(False) is V
 
-    def test_definition_of_rejects_non_dsl_protocols(self):
-        from tests.legacy_protocols import LegacyFireflyProtocol
-        with pytest.raises(ConfigurationError):
-            definition_of(LegacyFireflyProtocol())
-
-    def test_definition_of_rejects_handler_overrides(self):
-        from repro.cache.protocols import FireflyProtocol
-
-        class Tampered(FireflyProtocol):
-            def snoop(self, *args, **kwargs):  # lint: allow(V105)
-                return super().snoop(*args, **kwargs)
-
-        with pytest.raises(ConfigurationError):
-            definition_of(Tampered())
-
-    def test_definition_of_accepts_registry_protocols(self):
+    def test_registry_protocols_carry_their_definitions(self):
         for name in sorted(PROTOCOL_DEFINITIONS):
-            assert definition_of(protocol_by_name(name)) is \
-                PROTOCOL_DEFINITIONS[name]
+            protocol = protocol_by_name(name)
+            assert type(protocol).definition is PROTOCOL_DEFINITIONS[name]
+            assert protocol.facts == PROTOCOL_DEFINITIONS[name].facts()
 
 
 class TestMetricPins:

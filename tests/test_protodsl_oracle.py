@@ -1,158 +1,228 @@
-"""The generated oracles vs the legacy classes vs the live simulator.
+"""The live DSL protocols vs pinned reference data vs ``line_table``.
 
-Three layers of differential testing pin the DSL pipeline:
+``DSLProtocol`` is the only code that executes a protocol.  The
+hand-written classes it replaced and the pure N-cache interpreter the
+model checker once offered survive as data: ``tests/data/
+protocol_pins.json`` was generated once, while both still existed, by
+a script that first asserted they agreed with the DSL classes,
+:func:`repro.protodsl.oracle.line_table` and the simulator-backed
+model checker.  Three layers pin the DSL pipeline against that file:
 
-1. **Table equivalence** — for every pre-DSL protocol, the measured
-   transition table of the DSL-compiled class equals the measured
-   table of the frozen legacy class (:mod:`tests.legacy_protocols`)
-   *and* the purely generated :func:`repro.protodsl.oracle.line_table`.
-2. **Fuzz** — seeded random stimulus walks drive a legacy rig and a
-   DSL rig in lockstep; every read value, line state and statistics
-   counter must match at every step.
-3. **Model-checker cross-validation** — BFS with the pure ``dsl``
-   oracle reaches exactly the state set the simulator-backed ``sim``
-   oracle reaches, for every registered protocol.
+1. **Cells** — for every protocol, the transition table measured on the
+   live rig (:func:`repro.cache.fsm.full_transition_table`) equals the
+   pinned cells *and* the table ``line_table`` derives from the
+   definition alone.
+2. **Walks** — for the seven protocols that had a hand-written class,
+   a seeded random stimulus walk over the DSL class hashes to the
+   digest the legacy class's walk produced; the runtime coherence
+   checker runs after every step.
+3. **Reachable sets** — the model checker's BFS over three caches with
+   DMA reaches exactly the pinned global state set, for every
+   protocol.
+
+A deliberate change to a definition changes the pinned JSON.  Rewrite
+it from the live code with ``PYTHONPATH=src python -m
+tests.test_protodsl_oracle``, put the printed digest in
+:data:`PINS_SHA256` in the same change, and read the diff.
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.cache.fsm import full_transition_table
 from repro.cache.line import LineState
-from repro.cache.protocols import PROTOCOL_DEFINITIONS, protocol_by_name
-from repro.common.errors import ConfigurationError
+from repro.cache.protocols import PROTOCOL_DEFINITIONS
 from repro.common.rng import RandomStream
 from repro.protodsl.oracle import line_table
 from repro.verify.model import ModelChecker, verify_protocol
 from tests.conftest import MiniRig
-from tests.legacy_protocols import (
-    LegacyBerkeleyProtocol,
-    LegacyDragonProtocol,
-    LegacyFireflyProtocol,
-    LegacyMesiProtocol,
-    LegacySynapseProtocol,
-    LegacyWriteOnceProtocol,
-    LegacyWriteThroughInvalidateProtocol,
-)
 
-LEGACY = {
-    "firefly": LegacyFireflyProtocol,
-    "dragon": LegacyDragonProtocol,
-    "mesi": LegacyMesiProtocol,
-    "berkeley": LegacyBerkeleyProtocol,
-    "synapse": LegacySynapseProtocol,
-    "write-once": LegacyWriteOnceProtocol,
-    "write-through": LegacyWriteThroughInvalidateProtocol,
-}
+PINS_PATH = Path(__file__).parent / "data" / "protocol_pins.json"
+PINS_SHA256 = ("c70aa8bd7f7b81e87f7afd5b140f2b6d"
+               "8b789d4ade02d0119c922e74d1fef74d")
 
-SEVEN = sorted(LEGACY)
+#: Protocols that had a hand-written class before the DSL.
+SEVEN = ("berkeley", "dragon", "firefly", "mesi", "synapse", "write-once",
+         "write-through")
 NINE = sorted(PROTOCOL_DEFINITIONS)
 
-
-class TestTableEquivalence:
-    @pytest.mark.parametrize("name", SEVEN)
-    def test_dsl_measures_identically_to_legacy(self, name):
-        dsl = full_transition_table(name)
-        legacy = full_transition_table(name, protocol=LEGACY[name]())
-        assert set(dsl) == set(legacy)
-        for cell in sorted(dsl, key=str):
-            assert dsl[cell] == legacy[cell], f"{name} {cell}"
-
-    @pytest.mark.parametrize("name", NINE)
-    def test_generated_line_table_matches_measurement(self, name):
-        generated = line_table(PROTOCOL_DEFINITIONS[name])
-        measured = full_transition_table(name)
-        assert set(generated) == set(measured)
-        for cell in sorted(generated, key=str):
-            assert generated[cell] == measured[cell], f"{name} {cell}"
+WALK_SEED = 1987
+WALK_STEPS = 300
+WALK_ADDRESSES = (0, 8, 64, 72)  # two indexes, two tags each
+REACHABLE_CACHES = 3
 
 
-def _twin_rigs(name):
-    dsl = MiniRig(protocol=name, caches=3, lines=4)
-    legacy = MiniRig(protocol=name, caches=3, lines=4)
-    legacy.protocol = LEGACY[name]()
-    for cache in legacy.caches:
-        cache.protocol = legacy.protocol
-    return dsl, legacy
+# -- the measurements the pins record ------------------------------------
+
+def cell_records(table):
+    """JSON-safe transition cells, ordered by (start, stimulus, peer)."""
+    records = []
+    for key in sorted(table, key=lambda k: (k[0].value, k[1], k[2])):
+        cell = table[key]
+        records.append({
+            "start": cell.start.value,
+            "stimulus": cell.stimulus,
+            "peer_holds": cell.peer_holds,
+            "end": cell.end.value,
+            "bus_ops": list(cell.bus_ops),
+            "peer_end": None if cell.peer_end is None else cell.peer_end.value,
+        })
+    return records
 
 
-def _observable(rig, addresses):
+def _observable(rig):
     view = []
-    for address in addresses:
+    for address in WALK_ADDRESSES:
         for cache in rig.caches:
-            view.append((cache.state_of(address), cache.peek(address)))
+            view.append([cache.state_of(address).value, cache.peek(address)])
         view.append(rig.memory.peek(address))
     for cache in rig.caches:
-        view.append(sorted((key, counter.total)
+        view.append(sorted([key, counter.total]
                            for key, counter in cache.stats.items()))
     return view
 
 
-class TestFuzzLegacyVsDsl:
-    """Seeded random walks: bit-identical twins at every step.
+def walk(rig, name):
+    """Drive a seeded random stimulus walk; yield one record per step.
 
-    DMA stimuli are exercised for every protocol except write-through:
-    its legacy class inherited the base-class DMA result state
-    (``SHARED``), which is outside its own vocabulary — the DSL
-    definition deliberately normalises that to ``VALID`` (documented
-    in docs/PROTOCOL_DSL.md); nothing metric-visible changes.
+    DMA stimuli are drawn for every protocol except write-through: its
+    hand-written class left a DMA-written copy in ``SHARED``, outside
+    its own vocabulary, which the DSL definition normalises to
+    ``VALID`` (docs/PROTOCOL_DSL.md); nothing metric-visible changes.
     """
+    rng = RandomStream(WALK_SEED, f"protodsl-fuzz-{name}")
+    with_dma = name != "write-through"
+    for step in range(WALK_STEPS):
+        address = WALK_ADDRESSES[rng.randint(0, len(WALK_ADDRESSES) - 1)]
+        cache = rng.randint(0, 2)
+        kind = rng.randint(0, 7 if with_dma else 5)
+        result = None
+        if kind < 3:
+            result = rig.read(cache, address)
+        elif kind < 6:
+            partial = rng.randint(0, 3) == 0  # exercise both guards
+            rig.write(cache, address, 10_000 + step, partial=partial)
+        elif kind == 6:
+            result = rig.run(rig.caches[0].dma_read(address))
+        else:
+            rig.run(rig.caches[0].dma_write(address, 20_000 + step))
+        yield [step, kind, cache, address, result, _observable(rig)]
+
+
+def walk_digest(records) -> str:
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(json.dumps(record).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def reachable_records(checker):
+    """The explored global states, JSON-safe and sorted."""
+    return sorted([[[state, version] for state, version in caches], memory]
+                  for caches, memory in checker.reachable)
+
+
+def measure_pins():
+    """The pinned document, measured on the live code."""
+    cells, reachable, walks = {}, {}, {}
+    for name in NINE:
+        cells[name] = cell_records(full_transition_table(name))
+        checker = ModelChecker(name, caches=REACHABLE_CACHES,
+                               include_dma=True)
+        assert checker.explore().ok, name
+        reachable[name] = reachable_records(checker)
+    for name in SEVEN:
+        rig = MiniRig(protocol=name, caches=3, lines=4)
+        digest = walk_digest(walk(rig, name))
+        walks[name] = {"seed": WALK_SEED, "steps": WALK_STEPS,
+                       "digest": digest}
+    return {"schema": "firefly-protocol-pins/1",
+            "reachable_setup": {"caches": REACHABLE_CACHES, "dma": True},
+            "cells": cells, "reachable": reachable, "walks": walks}
+
+
+def render_pins(document) -> str:
+    """JSON with one cell, state or walk per line, for readable diffs."""
+    def render(value, depth):
+        pad = " " * (depth + 1)
+        if isinstance(value, dict) and depth < 2:
+            items = [f"{pad}{json.dumps(key)}: {render(value[key], depth + 1)}"
+                     for key in sorted(value)]
+        elif isinstance(value, list) and depth == 2:
+            items = [pad + json.dumps(item, sort_keys=True)
+                     for item in value]
+        else:
+            return json.dumps(value, sort_keys=True)
+        opener, closer = "{}" if isinstance(value, dict) else "[]"
+        return (opener + "\n" + ",\n".join(items) + "\n"
+                + " " * depth + closer)
+    return render(document, 0) + "\n"
+
+
+@pytest.fixture(scope="module")
+def pins():
+    raw = PINS_PATH.read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == PINS_SHA256, (
+        f"{PINS_PATH.name} changed without updating PINS_SHA256")
+    return json.loads(raw)
+
+
+def test_pins_cover_every_protocol(pins):
+    assert pins["reachable_setup"] == {"caches": REACHABLE_CACHES,
+                                       "dma": True}
+    assert sorted(pins["cells"]) == NINE
+    assert sorted(pins["reachable"]) == NINE
+    assert sorted(pins["walks"]) == list(SEVEN)
+    assert all((walk["seed"], walk["steps"]) == (WALK_SEED, WALK_STEPS)
+               for walk in pins["walks"].values())
+
+
+class TestTableEquivalence:
+    @pytest.mark.parametrize("name", SEVEN)
+    def test_dsl_measures_identically_to_legacy(self, name, pins):
+        """The pinned cells of these seven were measured on the
+        hand-written classes."""
+        measured = cell_records(full_transition_table(name))
+        assert measured == pins["cells"][name]
+
+    @pytest.mark.parametrize("name", NINE)
+    def test_generated_line_table_matches_measurement(self, name, pins):
+        measured = cell_records(full_transition_table(name))
+        generated = cell_records(line_table(PROTOCOL_DEFINITIONS[name]))
+        assert generated == measured == pins["cells"][name]
+
+
+class TestFuzzLegacyVsDsl:
+    """Seeded random walks hash to the legacy classes' digests."""
 
     @pytest.mark.parametrize("name", SEVEN)
-    def test_random_walk_is_bit_identical(self, name):
-        rng = RandomStream(1987, f"protodsl-fuzz-{name}")
-        dsl, legacy = _twin_rigs(name)
-        addresses = (0, 8, 64, 72)  # two indexes, two tags each
-        with_dma = name != "write-through"
-        for step in range(300):
-            address = addresses[rng.randint(0, len(addresses) - 1)]
-            cache = rng.randint(0, 2)
-            kind = rng.randint(0, 7 if with_dma else 5)
-            if kind < 3:
-                got = dsl.read(cache, address)
-                want = legacy.read(cache, address)
-                assert got == want, f"{name} step {step} read"
-            elif kind < 6:
-                value = 10_000 + step
-                partial = rng.randint(0, 3) == 0  # exercise both guards
-                dsl.write(cache, address, value, partial=partial)
-                legacy.write(cache, address, value, partial=partial)
-            elif kind == 6:
-                def gen(rig):
-                    return rig.caches[0].dma_read(address)
-                assert dsl.run(gen(dsl)) == legacy.run(gen(legacy))
-            else:
-                value = 20_000 + step
-                dsl.run(dsl.caches[0].dma_write(address, value))
-                legacy.run(legacy.caches[0].dma_write(address, value))
-            assert _observable(dsl, addresses) == \
-                _observable(legacy, addresses), f"{name} step {step}"
-            dsl.check_coherence()
+    def test_random_walk_is_bit_identical(self, name, pins):
+        rig = MiniRig(protocol=name, caches=3, lines=4)
+        records = []
+        for record in walk(rig, name):
+            records.append(record)
+            rig.check_coherence()
+        assert walk_digest(records) == pins["walks"][name]["digest"]
 
 
 class TestModelCheckerOracles:
     @pytest.mark.parametrize("name", NINE)
-    def test_dsl_oracle_reaches_the_sim_oracle_state_set(self, name):
-        sim = ModelChecker(name, caches=3, include_dma=True)
-        sim_report = sim.explore()
-        dsl = ModelChecker(name, caches=3, include_dma=True, oracle="dsl")
-        dsl_report = dsl.explore()
-        assert sim_report.ok and dsl_report.ok
-        assert sim.reachable == dsl.reachable
-        assert sim_report.states_explored == dsl_report.states_explored
-
-    def test_dsl_oracle_refuses_non_dsl_protocols(self):
-        with pytest.raises(ConfigurationError):
-            ModelChecker("firefly", protocol=LegacyFireflyProtocol(),
-                         oracle="dsl")
-
-    def test_unknown_oracle_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ModelChecker("firefly", oracle="tea-leaves")
+    def test_dsl_oracle_reaches_the_sim_oracle_state_set(self, name, pins):
+        """The pinned set is the one the simulator-backed checker and
+        the retired pure interpreter both reached."""
+        checker = ModelChecker(name, caches=REACHABLE_CACHES,
+                               include_dma=True)
+        report = checker.explore()
+        assert report.ok
+        assert reachable_records(checker) == pins["reachable"][name]
+        assert report.states_explored == len(pins["reachable"][name])
 
     @pytest.mark.parametrize("name", ("moesi", "bedrock"))
     def test_new_protocols_verify_clean(self, name):
-        report = verify_protocol(name, caches=3, include_dma=True,
-                                 oracle="dsl")
+        report = verify_protocol(name, caches=3, include_dma=True)
         assert report.ok
 
 
@@ -205,3 +275,8 @@ class TestBedrockBehaviour:
         assert rig.caches[1].state_of(40) is LineState.INVALID
         assert rig.read(1, 40) == 5
         rig.check_coherence()
+
+
+if __name__ == "__main__":
+    PINS_PATH.write_text(render_pins(measure_pins()))
+    print(hashlib.sha256(PINS_PATH.read_bytes()).hexdigest())

@@ -2,9 +2,8 @@
 
 Three contracts from docs/PERFORMANCE.md:
 
-- the numpy and pure-Python backends consume the same draws and
-  produce bit-identical results (the reduction is over integer
-  counts, never backend-dependent float sums);
+- the draws reduce to integer counts, so results depend only on the
+  seed, never on the draw chunk size;
 - the mode's (M, D, S) statistics and derived load/TPI/RP agree with
   the coroutine simulator within the DivergenceMonitor's noise bands
   (the paper's own slide-rule accuracy standard, never byte equality);
@@ -19,23 +18,11 @@ import pytest
 from repro.analytic.queueing import AnalyticParameters
 from repro.common.errors import ConfigurationError
 from repro.trace.stats import TraceReduction
-from repro.trace.vectorized import (BACKENDS, VectorizedResult,
-                                    divergence_check, numpy_available,
+from repro.trace.vectorized import (VectorizedResult, divergence_check,
                                     params_from_reduction, run_vectorized)
 
 
 class TestBackendIdentity:
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_numpy_and_python_are_bit_identical(self):
-        numpy = run_vectorized(3, 50_000, 1987, backend="numpy")
-        python = run_vectorized(3, 50_000, 1987, backend="python")
-        n, p = numpy.metrics(), python.metrics()
-        assert n.pop("backend") == "numpy"
-        assert p.pop("backend") == "python"
-        assert n == p
-        assert numpy.ticks == python.ticks
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
     def test_chunk_size_never_changes_results(self):
         """Chunking bounds memory; draws and counts are chunk-invariant."""
         small = run_vectorized(2, 20_000, 1987, chunk=777)
@@ -43,9 +30,9 @@ class TestBackendIdentity:
         assert small.metrics() == large.metrics()
 
     def test_same_seed_same_result_different_seed_differs(self):
-        first = run_vectorized(2, 20_000, 1987, backend="python")
-        again = run_vectorized(2, 20_000, 1987, backend="python")
-        other = run_vectorized(2, 20_000, 1990, backend="python")
+        first = run_vectorized(2, 20_000, 1987)
+        again = run_vectorized(2, 20_000, 1987)
+        other = run_vectorized(2, 20_000, 1990)
         assert first == again
         assert first.misses != other.misses
 
@@ -53,8 +40,7 @@ class TestBackendIdentity:
 class TestStatistics:
     def test_counts_track_configured_rates(self):
         params = AnalyticParameters()
-        result = run_vectorized(4, 100_000, 1987, params=params,
-                                backend="python")
+        result = run_vectorized(4, 100_000, 1987, params=params)
         assert result.miss_rate == pytest.approx(params.miss_rate,
                                                  rel=0.02)
         assert result.dirty_fraction == pytest.approx(
@@ -71,12 +57,12 @@ class TestStatistics:
 
     def test_per_cpu_streams_are_independent(self):
         """Adding a CPU never perturbs existing CPUs' statistics."""
-        two = run_vectorized(2, 30_000, 1987, backend="python")
-        three = run_vectorized(3, 30_000, 1987, backend="python")
+        two = run_vectorized(2, 30_000, 1987)
+        three = run_vectorized(3, 30_000, 1987)
         # CPUs 0 and 1 drew the same streams in both runs, so the
         # third CPU's misses are exactly the difference.
         assert three.misses > two.misses
-        solo = run_vectorized(1, 30_000, 1987, backend="python")
+        solo = run_vectorized(1, 30_000, 1987)
         assert solo.misses <= two.misses
 
     def test_agrees_with_coroutine_simulator_within_bands(self):
@@ -110,14 +96,14 @@ class TestStatistics:
             measured.mean_miss_rate, abs=0.01)
 
     def test_divergence_check_flags_disagreement(self):
-        result = run_vectorized(2, 20_000, 1987, backend="python")
+        result = run_vectorized(2, 20_000, 1987)
         verdicts = divergence_check(result, {"bus_load": 0.95,
                                              "tpi": 40.0})
         assert not verdicts["ok"]
         assert not verdicts["bus_load"]["ok"]
 
     def test_divergence_check_requires_measurements(self):
-        result = run_vectorized(2, 20_000, 1987, backend="python")
+        result = run_vectorized(2, 20_000, 1987)
         with pytest.raises(ConfigurationError, match="bus_load"):
             divergence_check(result, {"tpi": 12.0})
 
@@ -136,8 +122,7 @@ class TestTraceDriven:
         # observe sharing).
         assert params.shared_write_fraction == \
             AnalyticParameters().shared_write_fraction
-        result = run_vectorized(2, 10_000, 1987, params=params,
-                                backend="python")
+        result = run_vectorized(2, 10_000, 1987, params=params)
         assert result.miss_rate == pytest.approx(0.31, rel=0.05)
 
 
@@ -149,18 +134,15 @@ class TestValidationAndWiring:
             run_vectorized(2, 0, 1987)
         with pytest.raises(ConfigurationError, match="chunk"):
             run_vectorized(2, 1000, 1987, chunk=0)
-        with pytest.raises(ConfigurationError, match="unknown vectorized"):
-            run_vectorized(2, 1000, 1987, backend="fortran")
-        assert set(BACKENDS) == {"numpy", "python"}
 
     def test_metrics_dict_is_json_safe(self):
         import json
 
-        result = run_vectorized(2, 5_000, 1987, backend="python")
+        result = run_vectorized(2, 5_000, 1987)
         assert isinstance(result, VectorizedResult)
         round_tripped = json.loads(json.dumps(result.metrics()))
         assert round_tripped["processors"] == 2
-        assert round_tripped["backend"] == "python"
+        assert "backend" not in round_tripped
 
     def test_bench_vector_stat_scenario(self):
         from repro.observatory.bench import SCENARIOS
@@ -174,6 +156,7 @@ class TestValidationAndWiring:
             assert metrics[f"np{processors}.mean_tpi"] > 11.9
         # More processors, more bus load — the Table 1 shape.
         assert metrics["np4.bus_load"] > metrics["np2.bus_load"]
+        assert "backend" not in metrics
 
     def test_campaign_vector_kind(self):
         from repro.campaign.engine import campaign_trial
@@ -186,3 +169,11 @@ class TestValidationAndWiring:
         assert "backend" not in result["metrics"]
         direct = run_vectorized(2, 5_000, 1987)
         assert result["metrics"]["misses"] == direct.misses
+
+    def test_campaign_vector_group_rejects_backend_key(self):
+        from repro.campaign.spec import parse_spec
+
+        with pytest.raises(ConfigurationError, match="unknown key.*backend"):
+            parse_spec({"schema": "firefly-campaign/1", "name": "v",
+                        "matrix": [{"kind": "vector", "processors": 2,
+                                    "backend": "numpy"}]})

@@ -36,7 +36,7 @@ BENCH_TMP=$(mktemp -d)
 trap 'rm -rf "$BENCH_TMP"' EXIT
 python -m repro.cli bench --quick --trials 1 --jobs 2 \
     --scenario exerciser-1cpu --scenario table1-sweep \
-    --scenario core-microbench --scenario vector-stat \
+    --scenario core-microbench \
     --out-dir "$BENCH_TMP"
 
 echo "== bench regression gate vs committed baseline =="
@@ -50,7 +50,7 @@ echo "== bench regression gate vs committed baseline =="
 # further) — it catches order-of-magnitude scheduler breakage, not
 # single-digit host drift.
 python -m repro.cli bench --quick --trials 1 \
-    --scenario core-microbench --scenario vector-stat \
+    --scenario core-microbench \
     --skip-overhead --out-dir "$BENCH_TMP" \
     --baseline-dir . --compare --threshold 0.6
 

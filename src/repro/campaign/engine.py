@@ -67,13 +67,6 @@ def campaign_trial(spec: Tuple[str, str, int, Dict]):
             cycles, metrics = result
             return {"seed": seed, "cycles": cycles, "metrics": metrics}
         return result.to_dict()
-    if kind == "vector":
-        from repro.trace.vectorized import run_vectorized
-
-        result = run_vectorized(params["processors"],
-                                params["instructions"], seed)
-        return {"seed": seed, "cycles": result.ticks,
-                "metrics": result.metrics()}
     if kind == "probe":
         return _probe_trial(seed, params)
     raise ConfigurationError(f"unknown trial kind {kind!r}")
@@ -151,8 +144,8 @@ def run_campaign_spec(spec: CampaignSpec, store: CampaignStore,
             f"campaign {spec.name!r} has no ledger in {store.directory}; "
             f"use 'campaign run' to start it")
     if load.corrupt_lines and progress is not None:
-        progress(f"ledger: skipped {load.corrupt_lines} torn line(s) "
-                 f"from an interrupted run")
+        progress(f"ledger: skipped {load.corrupt_lines} torn or "
+                 f"malformed line(s)")
     pending = [trial for trial in trials if trial.key not in load.rows]
     if progress is not None:
         progress(f"campaign {spec.name}: {len(trials)} trial(s), "

@@ -20,9 +20,6 @@ into ad-hoc CLI loops.  Top level::
       - kind: bench              # pinned observatory scenarios
         scenarios: [exerciser-1cpu]
         quick: true
-      - kind: vector             # vectorized §5.2 statistical runs
-        processors: [2, 4, 6]
-        instructions: 100000
       - kind: chaos              # seeded fault-injection scenarios
         scenarios: [bus-parity]
         quick: true
@@ -59,7 +56,7 @@ from repro.common.provenance import content_hash
 CAMPAIGN_SCHEMA = "firefly-campaign/1"
 
 #: The trial kinds a matrix group may declare.
-TRIAL_KINDS = ("sweep", "bench", "chaos", "serve", "vector", "probe")
+TRIAL_KINDS = ("sweep", "bench", "chaos", "serve", "probe")
 
 #: The kinds whose trials are pinned named scenarios
 #: (:func:`repro.observatory.runner.select_scenarios`).
@@ -71,7 +68,6 @@ _GROUP_KEYS = {
                              "warmup", "measure"},
     **{kind: _COMMON_KEYS | {"scenarios", "quick"}
        for kind in SCENARIO_KINDS},
-    "vector": _COMMON_KEYS | {"processors", "instructions"},
     "probe": _COMMON_KEYS | {"name", "offset", "fail_env", "spin"},
 }
 
@@ -260,7 +256,7 @@ def _validate_group(group, where: str) -> Dict:
     if kind in SCENARIO_KINDS:
         validated.update(_validate_scenarios(group, where, kind))
     else:
-        validator = {"sweep": _validate_sweep, "vector": _validate_vector,
+        validator = {"sweep": _validate_sweep,
                      "probe": _validate_probe}[kind]
         validated.update(validator(group, where))
     validated["exclude"] = _validate_exclude(group.get("exclude", []),
@@ -320,19 +316,6 @@ def _validate_scenarios(group: Dict, where: str, kind: str) -> Dict:
     return {"scenarios": scenarios, "quick": quick}
 
 
-def _validate_vector(group: Dict, where: str) -> Dict:
-    processors = _as_list(group.get("processors", [2, 4, 6]))
-    if not processors or not all(isinstance(p, int) and p >= 1
-                                 for p in processors):
-        raise ConfigurationError(f"{where}: processors must be "
-                                 f"integer(s) >= 1")
-    instructions = group.get("instructions", 100_000)
-    if not isinstance(instructions, int) or instructions < 1:
-        raise ConfigurationError(f"{where}: instructions must be a "
-                                 f"positive integer")
-    return {"processors": processors, "instructions": instructions}
-
-
 def _validate_probe(group: Dict, where: str) -> Dict:
     name = group.get("name", "probe")
     if not isinstance(name, str) or not name:
@@ -382,7 +365,7 @@ def _axis_names(group: Dict) -> List[str]:
     """The parameter names that expand for this group, seeds excluded."""
     if group["kind"] in SCENARIO_KINDS:
         return ["scenarios"]
-    return {"sweep": ["processors", "protocol"], "vector": ["processors"],
+    return {"sweep": ["processors", "protocol"],
             "probe": []}[group["kind"]]
 
 
@@ -425,17 +408,6 @@ def _expand_group(group: Dict, default_seeds: Sequence[int]
                 params = {"scenario": scenario, "quick": group["quick"]}
                 out.append((f"{kind}/{scenario}/{mode}/s{seed}", seed,
                             params))
-    elif kind == "vector":
-        for processors in group["processors"]:
-            for seed in seeds:
-                match = {"processors": processors, "seed": seed}
-                if _excluded(match, excludes):
-                    continue
-                params = {"processors": processors,
-                          "instructions": group["instructions"]}
-                out.append((f"vector/np{processors}"
-                            f"/i{group['instructions']}/s{seed}",
-                            seed, params))
     else:  # probe
         for seed in seeds:
             if _excluded({"seed": seed}, excludes):

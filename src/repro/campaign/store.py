@@ -49,7 +49,7 @@ class LedgerLoad:
 
     rows: Dict[str, Dict]   # key -> winning row, in first-seen order
     total_rows: int         # parsable rows, duplicates included
-    corrupt_lines: int      # torn/unparsable lines skipped
+    corrupt_lines: int      # torn, unparsable or mistyped lines skipped
 
 
 class CampaignStore:
@@ -89,8 +89,9 @@ class CampaignStore:
                     corrupt += 1
                     continue
                 if not isinstance(row, dict) \
-                        or not isinstance(row.get("key"), str) \
-                        or "result" not in row:
+                        or not all(isinstance(row.get(name), str)
+                                   for name in ("key", "kind", "label")) \
+                        or not isinstance(row.get("result"), dict):
                     corrupt += 1
                     continue
                 total += 1

@@ -36,14 +36,10 @@ class RandomStream:
       precisely what ``Random.randrange`` computes after its (pure,
       draw-free) argument validation;
     - ``choice(seq)`` is ``seq[_randbelow(len(seq))]``, ditto.
-
-    Bulk float draws are available via :meth:`random_block` /
-    :meth:`take_block`; see those docstrings for when batching is
-    sound.
     """
 
     __slots__ = ("name", "_rng", "random", "shuffle", "_randbelow",
-                 "_expovariate", "_block", "_block_pos")
+                 "_expovariate")
 
     def __init__(self, root_seed: int, name: str) -> None:
         self.name = name
@@ -58,8 +54,6 @@ class RandomStream:
         self.shuffle = rng.shuffle
         self._randbelow = rng._randbelow
         self._expovariate = rng.expovariate
-        self._block: list = []
-        self._block_pos = 0
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] inclusive."""
@@ -91,49 +85,6 @@ class RandomStream:
         while draw() >= p:
             n += 1
         return n
-
-    # -- batched draws --------------------------------------------------
-
-    def random_block(self, n: int) -> list:
-        """Draw ``n`` uniform floats in one vectorized block.
-
-        Element-for-element identical to ``n`` successive ``random()``
-        calls (it IS ``n`` successive calls, made in bulk without
-        Python-level dispatch per draw).  Sound wherever a consumer
-        draws a *known* number of floats with no interleaved
-        ``randint``/``choice``/``shuffle`` — those route through
-        ``getrandbits`` and consume different generator words, so
-        pre-drawing floats across one would reorder the stream.
-        """
-        if n < 0:
-            raise ConfigurationError(f"block size must be >= 0, got {n}")
-        draw = self.random
-        return [draw() for _ in range(n)]
-
-    def take_block(self, chunk: int = 256) -> float:
-        """Incremental consumption of block-drawn floats.
-
-        Returns the next float of an internally buffered
-        :meth:`random_block`, refilling ``chunk`` draws at a time.  The
-        caller owns the soundness argument: between a refill and the
-        last buffered draw being consumed, the stream must see no
-        ``getrandbits``-backed call (``randint``/``choice``/
-        ``shuffle``), or ordering diverges from the unbatched stream.
-        (The calibrated reference sources interleave ``randint`` and
-        ``choice`` data-dependently, which is why they pre-bind methods
-        instead of buffering — see docs/PERFORMANCE.md.)
-        """
-        if self._block_pos >= len(self._block):
-            self._block = self.random_block(chunk)
-            self._block_pos = 0
-        value = self._block[self._block_pos]
-        self._block_pos += 1
-        return value
-
-    @property
-    def buffered_draws(self) -> int:
-        """Block draws consumed from the source but not yet handed out."""
-        return len(self._block) - self._block_pos
 
 
 class StreamFactory:

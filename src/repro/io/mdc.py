@@ -10,10 +10,11 @@ queue.  Measured capabilities: ~16 megapixels/second for large areas,
 ~20,000 10-point characters/second from the off-screen font cache, and
 keyboard/mouse state deposited into main memory sixty times a second.
 
-The model keeps a real bitmap (numpy uint8), executes BitBlt-style
-commands with the published throughput figures, and performs every
-queue access through the QBus DMA path — so display activity shows up
-on the MBus exactly where the hardware's would.
+The model keeps a real bitmap (one ``bytearray`` per scan line, one
+byte per pixel), executes BitBlt-style commands with the published
+throughput figures, and performs every queue access through the QBus
+DMA path — so display activity shows up on the MBus exactly where the
+hardware's would.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from repro.bus.qbus import QBus
 from repro.common.errors import ConfigurationError, SimulationError
@@ -139,7 +138,7 @@ class DisplayController:
         self.name = name
         self.stats = StatSet(name)
         p = self.params
-        self.framebuffer = np.zeros((p.height, p.width), dtype=np.uint8)
+        self.framebuffer = [bytearray(p.width) for _ in range(p.height)]
         self._tail = 0
         self._input_sequence = 0
         self._started = False
@@ -200,7 +199,7 @@ class DisplayController:
             data = yield from self.qbus.dma_read_block(source, words)
             pixels = words * 32
             # Unpack each word's 32 bits along a row at (x, y).
-            row = np.zeros(pixels, dtype=np.uint8)
+            row = bytearray(pixels)
             for i, word in enumerate(data):
                 for bit in range(32):
                     row[i * 32 + bit] = (word >> bit) & 1
@@ -220,10 +219,12 @@ class DisplayController:
                                                       y + max(0, height))
         if x1 <= x0 or y1 <= y0:
             return 0
-        self.framebuffer[y0:y1, x0:x1] = value
+        span = bytes((value,)) * (x1 - x0)
+        for row in self.framebuffer[y0:y1]:
+            row[x0:x1] = span
         return (x1 - x0) * (y1 - y0)
 
-    def _paste_row(self, x: int, y: int, row: np.ndarray) -> None:
+    def _paste_row(self, x: int, y: int, row: bytearray) -> None:
         p = self.params
         if not 0 <= y < p.height:
             return
@@ -231,7 +232,7 @@ class DisplayController:
         x1 = min(p.width, x + len(row))
         if x1 <= x0:
             return
-        self.framebuffer[y, x0:x1] = row[x0 - x:x1 - x]
+        self.framebuffer[y][x0:x1] = row[x0 - x:x1 - x]
 
     # -- input deposits --------------------------------------------------------------
 
@@ -253,17 +254,18 @@ class DisplayController:
 
     def lit_pixels(self) -> int:
         """Pixels currently set in the frame buffer."""
-        return int(self.framebuffer.sum())
+        return sum(row.count(1) for row in self.framebuffer)
 
     def render_ascii(self, scale: int = 32) -> str:
         """A downsampled view of the bitmap, for examples."""
-        h, w = self.framebuffer.shape
+        p = self.params
         rows = []
-        for y in range(0, h, scale):
+        for y in range(0, p.height, scale):
+            band = self.framebuffer[y:y + scale]
             row = ""
-            for x in range(0, w, scale):
-                block = self.framebuffer[y:y + scale, x:x + scale]
-                row += "#" if block.mean() > 0.5 else (
-                    "+" if block.any() else ".")
+            for x in range(0, p.width, scale):
+                lit = sum(line.count(1, x, x + scale) for line in band)
+                size = len(band) * min(scale, p.width - x)
+                row += "#" if 2 * lit > size else ("+" if lit else ".")
             rows.append(row)
         return "\n".join(rows)

@@ -259,31 +259,6 @@ def _core_microbench_runner(scenario: Scenario, horizon: Horizon,
     return sim.now, metrics
 
 
-def _vector_stat_runner(scenario: Scenario, horizon: Horizon,
-                        seed: int) -> Tuple[int, Dict]:
-    """The vectorized statistical mode at Table 1 processor counts.
-
-    ``horizon.measure`` is the per-CPU instruction budget; the reported
-    cycles are the simulated ticks the statistics cover (instructions x
-    TPI), making ticks/s directly comparable with the coroutine
-    scenarios it replaces for pure (M, D, S) runs.  Imported lazily:
-    the vectorized mode lives in :mod:`repro.trace`, which benches
-    must not pay for unless this scenario is selected.
-    """
-    from repro.trace.vectorized import run_vectorized
-
-    counts = (2, 4) if horizon is scenario.quick else (2, 4, 6)
-    cycles = 0
-    metrics: Dict = {"processor_counts": list(counts)}
-    for processors in counts:
-        result = run_vectorized(processors, horizon.measure, seed)
-        cycles += result.ticks
-        metrics[f"np{processors}.bus_load"] = result.bus_load
-        metrics[f"np{processors}.mean_tpi"] = result.mean_tpi
-        metrics[f"np{processors}.miss_rate"] = result.miss_rate
-    return cycles, metrics
-
-
 SCENARIOS: Tuple[Scenario, ...] = (
     Scenario("exerciser-1cpu",
              "Threads exerciser, 1 CPU x 8 threads (Table 2 left column)",
@@ -314,10 +289,6 @@ SCENARIOS: Tuple[Scenario, ...] = (
              "scheduler-only event-core microbenchmark (no models)",
              full=Horizon(0, 20_000), quick=Horizon(0, 5_000),
              runner=_core_microbench_runner),
-    Scenario("vector-stat",
-             "vectorized statistical mode at Table 1 processor counts",
-             full=Horizon(0, 400_000), quick=Horizon(0, 100_000),
-             runner=_vector_stat_runner),
 )
 
 

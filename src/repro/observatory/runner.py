@@ -115,8 +115,9 @@ def run_ordered(specs: Sequence, worker: Callable, jobs: int = 1,
     durable even if a later trial fails, and spec-order delivery keeps
     append-only stores deterministic at any job count.
 
-    A ``KeyboardInterrupt`` during a fan-out terminates the worker
-    processes and re-raises — no leaked workers, no swallowed Ctrl-C.
+    A clean fan-out returns only after its worker processes have
+    exited.  A ``KeyboardInterrupt`` during a fan-out terminates them
+    and re-raises — no leaked workers, no swallowed Ctrl-C.
     """
     if jobs is None:
         jobs = 1
@@ -150,6 +151,7 @@ def run_ordered(specs: Sequence, worker: Callable, jobs: int = 1,
             if on_result is not None:
                 on_result(spec, payload)
             results.append(payload)
+        pool.shutdown(wait=True)
         return results
     except KeyboardInterrupt:
         # Raised outside future.result() (e.g. between collections):

@@ -8,18 +8,21 @@ through the caches (read-only sharing: lines go SHARED, reads stay
 quiet); each thread writes its own C rows (private dirty lines).  The
 result is verified against numpy, so the workload doubles as an
 end-to-end correctness test of the whole stack — coherence protocol,
-bus, runtime.
+bus, runtime.  numpy (the operands' generator and the reference
+product) is imported only when a multiply is built, so importing
+:mod:`repro.workloads` stays numpy-free.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
+from typing import TYPE_CHECKING, List
 
 from repro.common.errors import ConfigurationError
 from repro.topaz import ops
 from repro.topaz.kernel import TopazKernel
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class MatrixWorkload:
@@ -29,6 +32,8 @@ class MatrixWorkload:
                  workers: int = 4, seed: int = 42) -> None:
         if n < 1 or workers < 1:
             raise ConfigurationError("matrix size and workers must be >= 1")
+        import numpy as np
+
         self.kernel = kernel
         self.n = n
         self.workers = min(workers, n)
@@ -91,6 +96,8 @@ class MatrixWorkload:
 
     def result(self) -> np.ndarray:
         """C as currently visible in coherent memory."""
+        import numpy as np
+
         n = self.n
         out = np.zeros((n, n), dtype=np.int64)
         for i in range(n):
@@ -101,6 +108,8 @@ class MatrixWorkload:
 
     def verify(self) -> None:
         """Assert the simulated result equals the numpy product."""
+        import numpy as np
+
         expected = self.a @ self.b
         actual = self.result()
         if not np.array_equal(expected, actual):

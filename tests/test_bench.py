@@ -168,7 +168,7 @@ class TestBenchFiles:
         assert [s.name for s in select_scenarios("bench")] == [
             "exerciser-1cpu", "exerciser-5cpu", "table1-sweep",
             "protocol-comparison", "chaos-smoke", "serve-smoke",
-            "core-microbench", "vector-stat"]
+            "core-microbench"]
         for scenario in SCENARIOS:
             assert scenario.quick.total < scenario.full.total
 

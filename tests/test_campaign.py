@@ -172,6 +172,11 @@ class TestSpecValidation:
         # Bench groups have no engine axis; setting one fails by key name.
         ({"kind": "bench", "engine": ["wheel", "heap"]},
          r"unknown key\(s\) for kind 'bench': engine"),
+        # Statistical-mode groups were removed; both fail by name.
+        ({"kind": "vector", "processors": 2},
+         r"kind must be one of .*; got 'vector'"),
+        ({"kind": "sweep", "instructions": 100_000},
+         r"unknown key\(s\) for kind 'sweep': instructions"),
     ])
     def test_bad_groups(self, group, fragment):
         with pytest.raises(ConfigurationError, match=fragment):
@@ -606,6 +611,28 @@ class TestCli:
                             "--store-dir", str(tmp_path / "s")) == 1
         err = capsys.readouterr().err
         assert "golden drift: probe/t/s1" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("kind", 5), ("label", 7), ("result", [1]), ("result", "ok")])
+    def test_report_counts_mistyped_rows_as_corrupt(self, tmp_path,
+                                                    capsys, field, value):
+        spec = self.write_spec(tmp_path)
+        store_dir = tmp_path / "store"
+        assert self.run_cli("campaign", "run", str(spec),
+                            "--store-dir", str(store_dir)) == 0
+        store = CampaignStore(store_dir)
+        ledger = store.ledger_path("cli-camp")
+        rows = [json.loads(line) for line in ledger.read_text().splitlines()]
+        rows[0][field] = value
+        ledger.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        load = store.load("cli-camp")
+        assert (load.total_rows, load.corrupt_lines) == (1, 1)
+        capsys.readouterr()
+        assert self.run_cli("campaign", "report",
+                            "--store-dir", str(store_dir),
+                            "--bench-dir", str(tmp_path),
+                            "--out", str(tmp_path / "dash.html")) == 0
+        assert "(1 trial(s))" in capsys.readouterr().out
 
     def test_resume_without_ledger_fails(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path)

@@ -93,20 +93,6 @@ NAMED_STREAMS = (
 
 class TestBatchedRngIdentity:
     @pytest.mark.parametrize("name", NAMED_STREAMS)
-    def test_random_block_matches_unbatched(self, name):
-        batched = RandomStream(1987, name)
-        unbatched = RandomStream(1987, name)
-        block = batched.random_block(512)
-        assert block == [unbatched.random() for _ in range(512)]
-
-    @pytest.mark.parametrize("name", NAMED_STREAMS)
-    def test_take_block_matches_unbatched(self, name):
-        batched = RandomStream(1987, name)
-        unbatched = RandomStream(1987, name)
-        taken = [batched.take_block(chunk=64) for _ in range(200)]
-        assert taken == [unbatched.random() for _ in range(200)]
-
-    @pytest.mark.parametrize("name", NAMED_STREAMS)
     def test_prebound_calls_match_plain_random(self, name):
         """The pre-bound fast rewrites consume the exact same
         Mersenne-Twister words as the stdlib calls they stand for."""
@@ -119,15 +105,6 @@ class TestBatchedRngIdentity:
         assert [stream.bernoulli(0.3) for _ in range(50)] \
             == [twin.random() < 0.3 for _ in range(50)]
 
-    def test_block_interleaves_with_scalar_draws(self):
-        """Blocks then scalars stay aligned with a pure scalar stream
-        (a block IS successive scalar draws)."""
-        batched = RandomStream(7, "mix")
-        unbatched = RandomStream(7, "mix")
-        sequence = batched.random_block(10) + [batched.random()] \
-            + batched.random_block(3)
-        assert sequence == [unbatched.random() for _ in range(14)]
-
     def test_factory_streams_are_independent_of_order(self):
         a_first = StreamFactory(3)
         b_first = StreamFactory(3)
@@ -135,4 +112,5 @@ class TestBatchedRngIdentity:
         _ = a_first.stream("beta")
         _ = b_first.stream("beta")
         a2 = b_first.stream("alpha")
-        assert a1.random_block(32) == a2.random_block(32)
+        assert [a1.random() for _ in range(32)] \
+            == [a2.random() for _ in range(32)]

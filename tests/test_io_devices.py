@@ -238,7 +238,7 @@ class TestMdc:
         io.start()
         machine.sim.run_until(50_000)
         fb = io.mdc.framebuffer
-        assert list(fb[0, :4]) == [1, 1, 0, 1]
+        assert list(fb[0][:4]) == [1, 1, 0, 1]
 
     def test_queue_wraps_and_processes_in_order(self):
         machine, io = io_machine()

